@@ -9,7 +9,7 @@ derived in docs/model-notes.md section 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,21 +37,16 @@ class MemoryModel:
     arrays_per_xstep counts external plane moves per X step (3 field planes
     read + 3 source planes written by default; role multiplicities are folded
     into eff_bandwidth_1). contention is the multiplicative bandwidth
-    derating per extra engine sharing one controller. burst_bytes and
-    outstanding describe the port configuration; they are carried for
-    reporting and do not enter the default timing formula.
+    derating per extra engine sharing one controller. Every field enters the
+    timing formula.
     """
 
     eff_bandwidth_1: float
     contention: float = 1.0
     arrays_per_xstep: int = 6
-    burst_bytes: int = 256 * 8
-    outstanding: int = 8
 
     def __post_init__(self):
-        if self.eff_bandwidth_1 <= 0 or not 0 < self.contention <= 1:
-            raise ValueError(f"invalid memory model {self}")
-        if self.arrays_per_xstep <= 0 or self.burst_bytes <= 0 or self.outstanding <= 0:
+        if self.eff_bandwidth_1 <= 0 or not 0 < self.contention <= 1 or self.arrays_per_xstep <= 0:
             raise ValueError(f"invalid memory model {self}")
 
 
@@ -169,11 +164,7 @@ def calibrate(observations, spec: PipelineSpec, y_batch: int,
     if np.linalg.matrix_rank(a) < 2:
         raise ValueError("degenerate observation set: controller group sizes coincide")
     (ln_bw, ln_c), *_ = np.linalg.lstsq(a, np.array(rhs), rcond=None)
-    model = MemoryModel(eff_bandwidth_1=math.exp(ln_bw),
-                        contention=min(1.0, math.exp(ln_c)),
-                        arrays_per_xstep=base.arrays_per_xstep,
-                        burst_bytes=base.burst_bytes,
-                        outstanding=base.outstanding)
+    model = replace(base, eff_bandwidth_1=math.exp(ln_bw), contention=min(1.0, math.exp(ln_c)))
     residuals = []
     for dims, engines, seconds in obs:
         modeled = kernel_time(dims, spec, model, y_batch, engines, controllers)

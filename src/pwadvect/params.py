@@ -1,21 +1,23 @@
 """Model parameter bundle: built-in defaults, key=value file I/O, env lookup.
 
+Only tunable model inputs live here; published facts live in `refdata`.
 The shipped defaults live both here and, with provenance comments, in
 ``model-defaults.params`` next to this module; a test keeps the two in sync.
-Files use one ``section.key = value`` pair per line, ``#`` comments; unknown
-keys are rejected so typos can't silently fall back to defaults. The
+Files use one ``section.key = value`` pair per line, ``#`` comments; the
+keys are derived from the bundle's dataclass fields, and unknown keys are
+rejected so typos can't silently fall back to defaults. The
 ``PWADVECT_PARAMS`` environment variable names a default parameter file.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .dataflow import MemoryModel, PipelineSpec
 from .kernel import FlopProfile
-from .transfer import DMA_REFERENCE_SECONDS, DmaConfig
+from .transfer import DmaConfig
 
 ENV_VAR = "PWADVECT_PARAMS"
 
@@ -25,122 +27,68 @@ CALIBRATED_BANDWIDTH = 1751318500.2052839
 CALIBRATED_CONTENTION = 0.923064649982371
 
 
-@dataclass(frozen=True)
-class ReferenceRegimes:
-    """Pipeline facts of the measured kernel's optimisation history.
-
-    These feed the validation gate and the ladder table: the per-column
-    configuration (before batching), the batched one, and the clocks before
-    and after retiming. retimed_latency_clock_hz is the exact 3.2 ns period
-    clock used for the latency figures (the sustained kernel clock is the
-    slightly lower pipeline.clock_hz).
-    """
-
-    column_depth: int = 71
-    column_ii: int = 2
-    column_length: int = 64
-    batched_ii: int = 1
-    batch_elements: int = 4096
-    extracted_depth: int = 65
-    base_clock_hz: float = 250e6
-    retimed_depth: int = 72
-    retimed_latency_clock_hz: float = 312.5e6
-
-
 @dataclass
 class ModelParams:
-    """Everything the analytic models need, in one bundle."""
+    """Everything the analytic models need, in one bundle.
+
+    Field order is the key order of a dumped parameter file.
+    """
 
     pipeline: PipelineSpec = field(
         default_factory=lambda: PipelineSpec(depth=72, ii=1, clock_hz=310e6))
     memory: MemoryModel = field(
         default_factory=lambda: MemoryModel(
             eff_bandwidth_1=CALIBRATED_BANDWIDTH, contention=CALIBRATED_CONTENTION))
-    dma: DmaConfig = field(default_factory=DmaConfig)
-    flops: FlopProfile = field(default_factory=FlopProfile)
-    ref: ReferenceRegimes = field(default_factory=ReferenceRegimes)
     y_batch: int = 64
     controllers: int = 2
-
-
-_INT_KEYS = {
-    "pipeline.depth", "pipeline.ii", "memory.arrays_per_xstep", "memory.burst_bytes",
-    "memory.outstanding", "model.y_batch", "model.controllers",
-    "flops.adds_per_cell", "flops.muls_per_cell",
-    "ref.column_depth", "ref.column_ii", "ref.column_length", "ref.batched_ii",
-    "ref.batch_elements", "ref.extracted_depth", "ref.retimed_depth",
-}
-_FLOAT_KEYS = {
-    "pipeline.clock_hz", "memory.eff_bandwidth_1", "memory.contention",
-    "dma.end_to_end_bandwidth", "ref.base_clock_hz", "ref.retimed_latency_clock_hz",
-} | {f"dma.{t}" for t in DMA_REFERENCE_SECONDS}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS
+    flops: FlopProfile = field(default_factory=FlopProfile)
+    dma: DmaConfig = field(default_factory=DmaConfig)
 
 
 class ParamError(ValueError):
     """Malformed parameter file or unknown key."""
 
 
-def _flatten(p: ModelParams) -> dict[str, float]:
-    kv = {
-        "pipeline.depth": p.pipeline.depth,
-        "pipeline.ii": p.pipeline.ii,
-        "pipeline.clock_hz": p.pipeline.clock_hz,
-        "memory.eff_bandwidth_1": p.memory.eff_bandwidth_1,
-        "memory.contention": p.memory.contention,
-        "memory.arrays_per_xstep": p.memory.arrays_per_xstep,
-        "memory.burst_bytes": p.memory.burst_bytes,
-        "memory.outstanding": p.memory.outstanding,
-        "model.y_batch": p.y_batch,
-        "model.controllers": p.controllers,
-        "flops.adds_per_cell": p.flops.adds_per_cell,
-        "flops.muls_per_cell": p.flops.muls_per_cell,
-        "dma.end_to_end_bandwidth": p.dma.end_to_end_bandwidth,
-        "ref.column_depth": p.ref.column_depth,
-        "ref.column_ii": p.ref.column_ii,
-        "ref.column_length": p.ref.column_length,
-        "ref.batched_ii": p.ref.batched_ii,
-        "ref.batch_elements": p.ref.batch_elements,
-        "ref.extracted_depth": p.ref.extracted_depth,
-        "ref.base_clock_hz": p.ref.base_clock_hz,
-        "ref.retimed_depth": p.ref.retimed_depth,
-        "ref.retimed_latency_clock_hz": p.ref.retimed_latency_clock_hz,
-    }
-    for t in DMA_REFERENCE_SECONDS:
-        kv[f"dma.{t}"] = p.dma.calibration[t]
-    return kv
+def _items(p: ModelParams):
+    """(key, path, value) for every parameter of a bundle, in file order.
+
+    A path is ("y_batch",) for a ModelParams scalar, ("pipeline", "depth")
+    for a section field, or ("dma", "calibration", topology) for one entry
+    of DmaConfig.calibration.
+    """
+    for top in fields(p):
+        section = getattr(p, top.name)
+        if not is_dataclass(section):
+            yield f"model.{top.name}", (top.name,), section
+            continue
+        for sub in fields(section):
+            value = getattr(section, sub.name)
+            if isinstance(value, dict):
+                for item, v in value.items():
+                    yield f"{top.name}.{item}", (top.name, sub.name, item), v
+            else:
+                yield f"{top.name}.{sub.name}", (top.name, sub.name), value
 
 
 def _assemble(kv: dict[str, float]) -> ModelParams:
-    return ModelParams(
-        pipeline=PipelineSpec(int(kv["pipeline.depth"]), int(kv["pipeline.ii"]),
-                              kv["pipeline.clock_hz"]),
-        memory=MemoryModel(
-            eff_bandwidth_1=kv["memory.eff_bandwidth_1"],
-            contention=kv["memory.contention"],
-            arrays_per_xstep=int(kv["memory.arrays_per_xstep"]),
-            burst_bytes=int(kv["memory.burst_bytes"]),
-            outstanding=int(kv["memory.outstanding"]),
-        ),
-        dma=DmaConfig(
-            calibration={t: kv[f"dma.{t}"] for t in DMA_REFERENCE_SECONDS},
-            end_to_end_bandwidth=kv["dma.end_to_end_bandwidth"],
-        ),
-        flops=FlopProfile(int(kv["flops.adds_per_cell"]), int(kv["flops.muls_per_cell"])),
-        ref=ReferenceRegimes(
-            column_depth=int(kv["ref.column_depth"]),
-            column_ii=int(kv["ref.column_ii"]),
-            column_length=int(kv["ref.column_length"]),
-            batched_ii=int(kv["ref.batched_ii"]),
-            batch_elements=int(kv["ref.batch_elements"]),
-            extracted_depth=int(kv["ref.extracted_depth"]),
-            base_clock_hz=kv["ref.base_clock_hz"],
-            retimed_depth=int(kv["ref.retimed_depth"]),
-            retimed_latency_clock_hz=kv["ref.retimed_latency_clock_hz"],
-        ),
-        y_batch=int(kv["model.y_batch"]),
-        controllers=int(kv["model.controllers"]),
-    )
+    tree = {}
+    for key, path in _PATHS.items():
+        node = tree
+        for step in path[:-1]:
+            node = node.setdefault(step, {})
+        node[path[-1]] = kv[key]
+    for name, cls in _SECTIONS.items():
+        tree[name] = cls(**tree[name])
+    return ModelParams(**tree)
+
+
+# Derived once at import, not per call: load_params runs on every CLI call.
+_DEFAULT = ModelParams()
+_PATHS = {key: path for key, path, _ in _items(_DEFAULT)}
+_SECTIONS = {path[0]: type(getattr(_DEFAULT, path[0])) for path in _PATHS.values() if len(path) > 1}
+_DEFAULT_KV = {key: value for key, _, value in _items(_DEFAULT)}
+KNOWN_KEYS = frozenset(_PATHS)
+_INT_KEYS = frozenset(k for k, v in _DEFAULT_KV.items() if isinstance(v, int))
 
 
 def parse_params_text(text: str, source: str = "<string>") -> dict[str, float]:
@@ -168,7 +116,7 @@ def load_params(path: str | os.PathLike | None = None) -> ModelParams:
     """
     if path is None:
         path = os.environ.get(ENV_VAR) or None
-    kv = _flatten(ModelParams())
+    kv = dict(_DEFAULT_KV)
     if path is not None:
         text = Path(path).read_text()
         kv.update(parse_params_text(text, source=str(path)))
@@ -177,10 +125,8 @@ def load_params(path: str | os.PathLike | None = None) -> ModelParams:
 
 def dump_params(p: ModelParams) -> str:
     """Render a bundle in the parameter-file format."""
-    lines = ["# pwadvect model parameters"]
-    for key, value in _flatten(p).items():
-        lines.append(f"{key} = {value!r}")
-    return "\n".join(lines) + "\n"
+    return "# pwadvect model parameters\n" + "".join(
+        f"{key} = {value!r}\n" for key, _, value in _items(p))
 
 
 def default_params_path() -> Path:

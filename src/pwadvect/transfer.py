@@ -9,37 +9,29 @@ round trips. Kernel and transfer phases are serialized (no overlap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .grid import GridDims
 from .kernel import FlopProfile
 from .dataflow import MemoryModel, PipelineSpec, gflops, kernel_time
+from .refdata import DMA_TABLE, DMA_TABLE_BYTES
 
 # Interconnect wiring options of the measured card, with the measured DMA
-# times (seconds) for a 1.6 GB host-to-card copy.
-DMA_REFERENCE_BYTES = 1.6e9
-DMA_REFERENCE_SECONDS = {
-    "split_banks_4ch": 0.232,          # two separate banks, 2 DMA channels each
-    "one_controller_4ch": 0.280,       # all four channels into one controller
-    "connected_controllers_4ch": 0.239,  # both banks behind one interconnect
-    "one_ch_per_controller": 0.342,    # single DMA channel per controller
-}
+# times (seconds) for a DMA_TABLE_BYTES host-to-card copy.
+DMA_REFERENCE_SECONDS = {topo: ref.value for topo, ref in DMA_TABLE.items()}
 TOPOLOGIES = tuple(DMA_REFERENCE_SECONDS)
 END_TO_END_BANDWIDTH = 5.85e9  # bytes/s, decimal GB convention
 
 _DIRECTIONS = ("to_card", "from_card", "both")
 
 
-def _default_calibration() -> dict[str, float]:
-    return {t: DMA_REFERENCE_BYTES / s for t, s in DMA_REFERENCE_SECONDS.items()}
-
-
 @dataclass(frozen=True)
 class DmaConfig:
     """Effective bytes/s per wiring topology plus the end-to-end rate."""
 
-    calibration: dict[str, float] = field(default_factory=_default_calibration)
     end_to_end_bandwidth: float = END_TO_END_BANDWIDTH
+    calibration: dict[str, float] = field(default_factory=lambda: {
+        t: DMA_TABLE_BYTES / s for t, s in DMA_REFERENCE_SECONDS.items()})
 
     def __post_init__(self):
         missing = [t for t in TOPOLOGIES if t not in self.calibration]
@@ -81,11 +73,8 @@ class ModelReport:
     gflops_total: float
     dma_fraction: float
 
-    FIELDS = ("cells", "engines", "kernel_seconds", "dma_seconds", "total_seconds",
-              "gflops_kernel", "gflops_total", "dma_fraction")
-
     def as_row(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def end_to_end(dims: GridDims, engines: int, pipeline: PipelineSpec,
@@ -122,8 +111,8 @@ def scaling_table(dims: GridDims, engine_list, pipeline: PipelineSpec,
 def factor_cells(cells: float, nz: int = 64) -> GridDims:
     """Cube-ish dims for a requested cell count: fixed nz, ny a power of two
     near sqrt(cells/nz), nx rounded to match. Used by the --cells CLI flag."""
-    if cells < nz:
-        raise ValueError(f"cell count {cells} below one column of nz={nz}")
+    if not nz <= cells < math.inf:  # also rejects nan
+        raise ValueError(f"cell count {cells} must be finite and at least one column of nz={nz}")
     columns = cells / nz
     ny = 2 ** round(math.log2(math.sqrt(columns)))
     nx = max(1, round(columns / ny))

@@ -5,12 +5,15 @@ lines; tolerances are pinned here and nowhere looser.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwadvect
 from pwadvect.dataflow import (
     MemoryModel,
     PipelineSpec,
@@ -206,8 +209,11 @@ def test_criterion_10_calibration_round_trip():
 
 
 def test_criterion_11_validate_subcommand_gate():
+    # the child process runs the same package this test imported
+    src = str(Path(pwadvect.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "pwadvect", "validate"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "OK: all checks passed" in proc.stdout
     assert proc.stdout.count("PASS") >= 18

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from pwadvect.cli import main
+from pwadvect.refdata import HEADLINE
 
 
 def run_cli(*argv):
@@ -22,10 +24,19 @@ def test_validate_passes_with_defaults(capsys):
 
 def test_validate_names_failing_check_on_perturbed_depth(tmp_path, capsys):
     f = tmp_path / "p.params"
-    f.write_text("ref.column_depth = 70\n")
+    f.write_text("pipeline.depth = 3000\n")
     assert run_cli("validate", "--params", str(f)) == 1
     out = capsys.readouterr().out
-    assert "FAIL  pipeline per-column run: 199 total / 57 full cycles" in out
+    assert "FAIL  kernel time 512x512x64, one engine: 514.9 ms +/- 5%" in out
+
+
+def test_validate_compares_against_refdata(monkeypatch, capsys):
+    monkeypatch.setitem(HEADLINE, "gflops_kernel",
+                        dataclasses.replace(HEADLINE["gflops_kernel"], value=20.0))
+    assert run_cli("validate") == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL  ")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL  kernel GFLOP/s at 268.3M cells, 12 engines")
 
 
 def test_validate_missing_params_file_is_usage_error(capsys):
@@ -97,9 +108,8 @@ def test_model_ladder_grid(tmp_path):
 
 
 def test_model_zero_cells(capsys):
-    assert run_cli("model", "--cells", "0") == 0
-    out = capsys.readouterr().out.splitlines()
-    assert all(part == "0" for part in out[1].split())
+    assert run_cli("model", "--cells", "0") == 2
+    assert "cell count" in capsys.readouterr().err
 
 
 def test_model_requires_grid_or_cells():
@@ -172,3 +182,14 @@ def test_usage_errors_exit_2():
     assert run_cli("bench", "--grid", "not-a-grid") == 2
     assert run_cli("bench", "--grid", "4x4x4", "--reps", "0") == 2
     assert run_cli("frobnicate") == 2
+    # impossible model configurations: cell counts, engine counts, y_batch > ny
+    for cells in ("-5", "nan", "inf", "1e4"):
+        assert run_cli("model", "--cells", cells) == 2
+    assert run_cli("model", "--cells", "1e308", "--engines", "12") == 2
+    assert run_cli("sweep", "--cells-list", "0") == 2
+    assert run_cli("sweep", "--cells-list", "1e6", "--engines", ",") == 2
+    assert run_cli("model", "--grid", "8x64x8", "--engines", "0") == 2
+    assert run_cli("sweep", "--grid", "8x64x8", "--engines", "1,0") == 2
+    # bench: invalid schedule specs
+    assert run_cli("bench", "--grid", "4x4x4", "--engines", "0") == 2
+    assert run_cli("bench", "--grid", "4x4x4", "--y-batch", "0") == 2

@@ -40,6 +40,10 @@ def test_unknown_key_rejected(tmp_path):
     f.write_text("pipeline.depht = 65\n")
     with pytest.raises(ParamError, match="unknown parameter key"):
         load_params(f)
+    # keys removed from the model: a reporting-only port knob, a published fact
+    for line in ("memory.burst_bytes = 2048", "ref.column_depth = 71"):
+        with pytest.raises(ParamError, match="unknown parameter key"):
+            parse_params_text(line)
 
 
 def test_malformed_line_rejected():
