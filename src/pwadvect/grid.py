@@ -243,10 +243,13 @@ def checksum(f: Field3D) -> str:
     """Order-stable digest of the interior cells' exact bit patterns.
 
     blake2b-64 over the little-endian float64 byte stream in index order
-    (i outer, j, then k fastest); equal digests <=> equal interiors.
+    (i outer, j, then k fastest); equal digests <=> equal interiors. Each
+    interior X plane is contiguous, so it is hashed in place, one at a time.
     """
-    interior = np.ascontiguousarray(f.interior, dtype="<f8")
-    return hashlib.blake2b(interior.tobytes(), digest_size=8).hexdigest()
+    digest = hashlib.blake2b(digest_size=8)
+    for plane in f.interior:
+        digest.update(np.ascontiguousarray(plane, dtype="<f8"))
+    return digest.hexdigest()
 
 
 _HEADER = struct.Struct("<qqq")  # nx, ny, nz

@@ -2,7 +2,7 @@
 
 The three tendency formulas (docs/model-notes.md section 2) are written once,
 as `su_formula` / `sv_formula` / `sw_formula`, over plain operands. Scalar
-point evaluation, the vectorised whole-grid kernel, every execution schedule
+point evaluation, the blocked reference kernel, every execution schedule
 and the operation-census walker all call these same expressions, which is
 what makes their results bit-identical: the per-element operation sequence
 is fixed here (X term, + Y term, + Z term, inner parenthesisation as
@@ -162,26 +162,56 @@ def compute_block(coeffs: AdvectionCoefficients, roles: dict):
     return tuple(out)
 
 
-def grid_roles(fields: FieldSet, x0: int, x1: int) -> dict:
-    """Role views over interior columns i in [x0, x1) (1-based), full Y range."""
+def grid_roles(fields: FieldSet, x0: int, x1: int, j0: int, j1: int) -> dict:
+    """Role views over interior columns i in [x0, x1), j in [j0, j1) (1-based)."""
     arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
-    ny = fields.dims.ny
     return {
-        (f, dx, dy): arrs[f][x0 + dx : x1 + dx, 1 + dy : 1 + dy + ny, :]
+        (f, dx, dy): arrs[f][x0 + dx : x1 + dx, j0 + dy : j1 + dy, :]
         for f, dx, dy in COMPUTE_ROLES
     }
 
 
+def write_block(out: SourceSet, blocks, i0: int, i1: int, j0: int, j1: int) -> None:
+    """Store computed columns i in [i0, i1), j in [j0, j1), levels k >= 2."""
+    su, sv, sw = blocks
+    out.su.data[i0:i1, j0:j1, 1:] = su[..., 1:]
+    out.sv.data[i0:i1, j0:j1, 1:] = sv[..., 1:]
+    out.sw.data[i0:i1, j0:j1, 1:] = sw[..., 1:]
+
+
+# Cells per block of the blocked reference run: 65,536 cells is 512 KiB per
+# float64 temporary, so a block's operands and temporaries stay in L2
+# instead of streaming grid-sized temporaries through DRAM.
+BLOCK_CELLS = 1 << 16
+
+
+def run_blocks(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
+               x0: int, x1: int) -> None:
+    """Evaluate interior columns i in [x0, x1) into `out`, one block at a time.
+
+    Blocks are whole X planes, as many as fit in BLOCK_CELLS; a plane larger
+    than that is split in Y. Every element is still computed by
+    `compute_block` in the canonical order, so the result is independent of
+    the block shape.
+    """
+    ny, nz = fields.dims.ny, fields.dims.nz
+    planes = max(1, BLOCK_CELLS // (ny * nz))
+    rows = min(ny, max(1, BLOCK_CELLS // nz))
+    for i0 in range(x0, x1, planes):
+        i1 = min(i0 + planes, x1)
+        for j0 in range(1, ny + 1, rows):
+            j1 = min(j0 + rows, ny + 1)
+            blocks = compute_block(coeffs, grid_roles(fields, i0, i1, j0, j1))
+            write_block(out, blocks, i0, i1, j0, j1)
+
+
 def run_reference(fields: FieldSet, coeffs: AdvectionCoefficients) -> SourceSet:
-    """Whole-grid reference execution; pure function of its inputs."""
+    """Blocked reference execution over the whole grid; pure function of its inputs."""
     dims = fields.dims
     if coeffs.nz != dims.nz:
         raise ValueError(f"coefficient length {coeffs.nz} != nz {dims.nz}")
     out = zeros_sources(dims)
-    su, sv, sw = compute_block(coeffs, grid_roles(fields, 1, dims.nx + 1))
-    out.su.data[1:-1, 1:-1, 1:] = su[..., 1:]
-    out.sv.data[1:-1, 1:-1, 1:] = sv[..., 1:]
-    out.sw.data[1:-1, 1:-1, 1:] = sw[..., 1:]
+    run_blocks(fields, coeffs, out, 1, dims.nx + 1)
     return out
 
 

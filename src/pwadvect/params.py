@@ -11,6 +11,7 @@ rejected so typos can't silently fall back to defaults. The
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -106,7 +107,24 @@ def parse_params_text(text: str, source: str = "<string>") -> dict[str, float]:
             kv[key] = int(value) if key in _INT_KEYS else float(value)
         except ValueError as exc:
             raise ParamError(f"{source}:{lineno}: bad value for {key}: {value!r}") from exc
+        problem = _range_problem(key, kv[key])
+        if problem:
+            raise ParamError(f"{source}:{lineno}: {key} = {value} {problem}")
     return kv
+
+
+def _range_problem(key: str, value) -> str | None:
+    """Why a value is out of range for its key, or None if it is in range."""
+    if key in _INT_KEYS:  # depths, cycle counts, array/controller/op counts
+        return "must be >= 1" if value < 1 else None
+    if not math.isfinite(value):
+        return "must be finite"
+    if key == "memory.contention":
+        # bandwidth with g engines on a controller is eff_bandwidth_1 * contention**(g-1):
+        # a derating, so it may not grow with g nor reach zero
+        return None if 0 < value <= 1 else "must be in (0, 1]"
+    # every other float is a clock (Hz) or a bandwidth (bytes/s)
+    return "must be > 0" if value <= 0 else None
 
 
 def load_params(path: str | os.PathLike | None = None) -> ModelParams:

@@ -20,8 +20,9 @@ from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
     compute_block,
-    grid_roles,
     reads_per_point,
+    run_blocks,
+    write_block,
 )
 
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
@@ -120,19 +121,20 @@ def _column_reads(nz: int) -> int:
 
 
 def _write_outputs(out: SourceSet, blocks, i0, i1, j0, j1, tc: TrafficReport):
-    su, sv, sw = blocks
-    out.su.data[i0:i1, j0:j1, 1:] = su[..., 1:]
-    out.sv.data[i0:i1, j0:j1, 1:] = sv[..., 1:]
-    out.sw.data[i0:i1, j0:j1, 1:] = sw[..., 1:]
-    nz = out.dims.nz
-    tc.external_writes += 3 * (i1 - i0) * (j1 - j0) * (nz - 1)
+    write_block(out, blocks, i0, i1, j0, j1)
+    _count_writes(tc, (i1 - i0) * (j1 - j0), out.dims.nz)
+
+
+def _count_writes(tc: TrafficReport, columns: int, nz: int):
+    # outputs are stored at levels k >= 2 only
+    tc.external_writes += 3 * columns * (nz - 1)
 
 
 def _run_reference_slab(fields, coeffs, out, slab, spec, tc):
     dims = fields.dims
-    blocks = compute_block(coeffs, grid_roles(fields, slab.x_begin, slab.x_end))
+    run_blocks(fields, coeffs, out, slab.x_begin, slab.x_end)
     tc.external_reads += slab.width * dims.ny * _column_reads(dims.nz)
-    _write_outputs(out, blocks, slab.x_begin, slab.x_end, 1, dims.ny + 1, tc)
+    _count_writes(tc, slab.width * dims.ny, dims.nz)
 
 
 def _run_buffered_slab(fields, coeffs, out, slab, spec, tc, batch):

@@ -43,6 +43,15 @@ def test_validate_missing_params_file_is_usage_error(capsys):
     assert run_cli("validate", "--params", "/definitely/not/here.params") == 2
 
 
+def test_out_of_range_params_file_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "zero.params"
+    f.write_text("model.y_batch = 0\n")
+    for argv in (("model", "--grid", "64x64x64"), ("sweep", "--grid", "64x64x64"),
+                 ("validate",)):
+        assert run_cli(*argv, "--params", str(f)) == 2
+        assert f"{f}:1: model.y_batch = 0 must be >= 1" in capsys.readouterr().err
+
+
 def test_bench_two_schedules_equal_checksums(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = run_cli("bench", "--grid", "12x10x6", "--schedule", "reference",

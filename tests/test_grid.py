@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -106,6 +107,17 @@ def test_checksum_equality_and_bit_sensitivity():
     d = b.copy()
     d.data[0, 0, 0] = 99.0
     assert checksum(d) == checksum(b)
+
+
+def test_checksum_is_digest_of_interior_byte_stream():
+    # plane-by-plane hashing equals one digest of the whole interior stream,
+    # whatever the memory order of the padded array
+    dims = make_grid(5, 3, 4)
+    u = fill_fields(dims, GeneratorSpec.random(8)).u
+    whole = np.ascontiguousarray(u.interior, dtype="<f8").tobytes()
+    want = hashlib.blake2b(whole, digest_size=8).hexdigest()
+    assert checksum(u) == want
+    assert checksum(Field3D(dims, np.asfortranarray(u.data))) == want
 
 
 def test_checksum_golden():

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pwadvect import kernel
 from pwadvect.grid import GeneratorSpec, checksum, fill_fields, make_grid, wrap_halos
 from pwadvect.kernel import (
     AdvectionCoefficients,
@@ -17,6 +19,7 @@ from pwadvect.kernel import (
     reads_per_point,
     run_reference,
 )
+from pwadvect.schedules import ScheduleSpec, compare_outputs, run_schedule
 from naive_oracle import naive_sources
 
 GOLDENS = json.loads((Path(__file__).parent / "goldens.json").read_text())
@@ -190,3 +193,85 @@ def test_nz2_grid_only_top_branch():
     oracle = naive_sources(fields, coeffs)
     assert ref.su.data.tobytes() == oracle.su.data.tobytes()
     assert np.all(ref.su.data[:, :, 0] == 0.0)
+
+
+def _block_shapes(monkeypatch, block_cells):
+    """Shrink the block constant; return the list of (planes, rows) evaluated."""
+    monkeypatch.setattr(kernel, "BLOCK_CELLS", block_cells)
+    shapes = []
+    real = kernel.compute_block
+
+    def recording(coeffs, roles):
+        shapes.append(roles[("u", 0, 0)].shape[:2])
+        return real(coeffs, roles)
+
+    monkeypatch.setattr(kernel, "compute_block", recording)
+    return shapes
+
+
+# (grid, block cells, expected block shapes): ragged X blocks of whole planes,
+# ragged Y blocks of a plane larger than a block, single columns, nz = 2
+BLOCK_CASES = [
+    ((7, 5, 6), 60, [(2, 5)] * 3 + [(1, 5)]),
+    ((5, 7, 6), 18, [(1, 3), (1, 3), (1, 1)] * 5),
+    ((2, 3, 4), 1, [(1, 1)] * 6),
+    ((3, 5, 2), 6, [(1, 3), (1, 2)] * 3),
+]
+
+
+@pytest.mark.parametrize("grid,block_cells,expected", BLOCK_CASES)
+def test_block_edges_bitwise_equal_to_oracle(monkeypatch, grid, block_cells, expected):
+    dims = make_grid(*grid)
+    fields = fill_fields(dims, GeneratorSpec.random(17))
+    coeffs = random_coeffs(dims.nz)
+    shapes = _block_shapes(monkeypatch, block_cells)
+    ref = run_reference(fields, coeffs)
+    assert shapes == expected
+    oracle = naive_sources(fields, coeffs)
+    for x, y in ((ref.su, oracle.su), (ref.sv, oracle.sv), (ref.sw, oracle.sw)):
+        assert x.data.tobytes() == y.data.tobytes()
+
+
+@pytest.mark.parametrize("block_cells,expected", [(3 * 64, [(3, 8)] * 2 + [(2, 8)]),
+                                                  (3 * 8, [(1, 3), (1, 3), (1, 2)] * 8)])
+def test_block_edges_reproduce_goldens(monkeypatch, block_cells, expected):
+    dims = make_grid(8, 8, 8)
+    fields = fill_fields(dims, GeneratorSpec.random(42))
+    shapes = _block_shapes(monkeypatch, block_cells)
+    src = run_reference(fields, default_coefficients(dims.nz))
+    assert shapes == expected
+    for name, f in (("su", src.su), ("sv", src.sv), ("sw", src.sw)):
+        assert checksum(f) == GOLDENS["sources"][name]
+
+
+def test_reference_schedule_blocks_each_slab(monkeypatch):
+    # nx = 10 over 3 engines gives slabs of 4, 3, 3 columns; 2-plane blocks
+    # leave a ragged last block in two of them
+    dims = make_grid(10, 4, 5)
+    fields = fill_fields(dims, GeneratorSpec.random(23))
+    coeffs = random_coeffs(dims.nz)
+    shapes = _block_shapes(monkeypatch, 2 * 4 * 5)
+    ref = run_reference(fields, coeffs)
+    shapes.clear()
+    out, tc, _ = run_schedule(fields, coeffs, ScheduleSpec("reference", engines=3))
+    assert sorted(shapes) == sorted([(2, 4)] * 4 + [(1, 4)] * 2)
+    assert compare_outputs(ref, out).bitwise_equal
+    assert tc.external_reads == dims.nx * dims.ny * (54 * (dims.nz - 2) + 45)
+    assert tc.external_writes == 3 * dims.nx * dims.ny * (dims.nz - 1)
+
+
+@pytest.mark.parametrize("grid", [(128, 128, 64), (192, 96, 80),
+                                  (16, 1100, 64)])  # one X plane exceeds a block
+def test_reference_extra_memory_within_one_field(grid):
+    dims = make_grid(*grid)
+    fields = fill_fields(dims, GeneratorSpec.random(3))
+    coeffs = default_coefficients(dims.nz)
+    field_bytes = dims.padded_len * 8
+    tracemalloc.start()
+    try:
+        out = run_reference(fields, coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.su.data.shape == dims.padded_shape
+    assert peak - 3 * field_bytes <= field_bytes

@@ -70,3 +70,37 @@ def test_dump_load_round_trip(tmp_path):
     f.write_text(dump_params(p))
     q = load_params(f)
     assert q == p
+
+
+@pytest.mark.parametrize("line", ["model.y_batch = 0", "pipeline.depth = -3",
+                                  "model.controllers = 0", "flops.muls_per_cell = 0"])
+def test_int_below_one_rejected(line):
+    with pytest.raises(ParamError, match=r"^f\.params:2: .* must be >= 1"):
+        parse_params_text("# header\n" + line, source="f.params")
+
+
+@pytest.mark.parametrize("line", ["pipeline.clock_hz = nan", "memory.eff_bandwidth_1 = inf",
+                                  "dma.end_to_end_bandwidth = -inf", "memory.contention = nan"])
+def test_non_finite_float_rejected(line):
+    with pytest.raises(ParamError, match=r"^f\.params:1: .* must be finite"):
+        parse_params_text(line, source="f.params")
+
+
+@pytest.mark.parametrize("line", ["pipeline.clock_hz = 0", "memory.eff_bandwidth_1 = -1e9",
+                                  "dma.end_to_end_bandwidth = 0", "dma.split_banks_4ch = -1"])
+def test_non_positive_clock_or_bandwidth_rejected(line):
+    with pytest.raises(ParamError, match=r"^f\.params:1: .* must be > 0"):
+        parse_params_text(line, source="f.params")
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "1.0000001", "2"])
+def test_contention_outside_unit_interval_rejected(value):
+    with pytest.raises(ParamError, match=r"must be in \(0, 1\]"):
+        parse_params_text(f"memory.contention = {value}", source="f.params")
+
+
+def test_range_limits_accepted():
+    kv = parse_params_text("memory.contention = 1.0\nmodel.y_batch = 1\npipeline.ii = 1\n"
+                           "pipeline.clock_hz = 1e-3")
+    assert kv == {"memory.contention": 1.0, "model.y_batch": 1, "pipeline.ii": 1,
+                  "pipeline.clock_hz": 1e-3}
