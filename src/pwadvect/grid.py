@@ -9,7 +9,6 @@ contiguous and ``array[i, j, k-1]`` is cell (i, j, k).
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
 
@@ -161,43 +160,46 @@ class GeneratorSpec:
         return cls("random", seed=seed)
 
 
+# Values generated per vectorised step of lcg_doubles.
+_LCG_CHUNK = 1 << 16
+
+
+def _lcg_jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A[m], C[m] with state_{s+m+1} = A[m]*state_s + C[m] mod 2^64, m < n.
+
+    Built by doubling: once the first L entries are known, entry L+m is
+    entry m composed with entry L-1.
+    """
+    mult = np.array([_LCG_MULT], dtype=np.uint64)
+    inc = np.array([_LCG_INC], dtype=np.uint64)
+    while len(mult) < n:
+        mult, inc = (np.concatenate((mult, mult * mult[-1])),
+                     np.concatenate((inc, mult * inc[-1] + inc)))
+    return mult[:n], inc[:n]
+
+
 def lcg_doubles(seed: int, count: int) -> np.ndarray:
     """`count` doubles in [0, 1) from the Knuth MMIX 64-bit LCG.
 
     state' = 6364136223846793005*state + 1442695040888963407 mod 2^64,
     value = (state' >> 11) * 2^-53. The first value uses one step from the
-    seed. Evaluated blockwise with the LCG skip-ahead so large fields do not
-    need a Python-level loop per element.
+    seed. Evaluated in chunks of _LCG_CHUNK values with precomputed jump
+    tables (uint64 arithmetic wraps mod 2^64), so large fields need neither
+    a Python-level loop per element nor a stream-sized integer array.
     """
-    if count == 0:
-        return np.zeros(0)
-    stride = max(1, math.isqrt(count))
-    nblocks = (count + stride - 1) // stride
-    # block-stride jump: state_{n+stride} = A*state_n + C mod 2^64
-    a_s, c_s = 1, 0
-    a_step, c_step = _LCG_MULT, _LCG_INC
-    n = stride
-    while n:
-        if n & 1:
-            a_s, c_s = (a_s * a_step) & _LCG_MASK, (c_s * a_step + c_step) & _LCG_MASK
-        c_step = (c_step * a_step + c_step) & _LCG_MASK
-        a_step = (a_step * a_step) & _LCG_MASK
-        n >>= 1
-    starts = np.empty(nblocks, dtype=np.uint64)
+    out = np.empty(count)
+    mult, inc = _lcg_jump_tables(min(count, _LCG_CHUNK))
+    state = np.empty_like(mult)
     s = seed & _LCG_MASK
-    for b in range(nblocks):  # nblocks ~ sqrt(count) scalar steps
-        starts[b] = s
-        s = (a_s * s + c_s) & _LCG_MASK
-    out = np.empty((nblocks, stride), dtype=np.uint64)
-    state = starts
-    mult = np.uint64(_LCG_MULT)
-    inc = np.uint64(_LCG_INC)
-    with np.errstate(over="ignore"):
-        for col in range(stride):
-            state = state * mult + inc  # uint64 wraps mod 2^64
-            out[:, col] = state
-    vals = (out.reshape(-1)[:count] >> np.uint64(11)).astype(np.float64)
-    return vals * 2.0**-53
+    for lo in range(0, count, _LCG_CHUNK):
+        n = min(_LCG_CHUNK, count - lo)
+        chunk = state[:n]
+        np.multiply(mult[:n], np.uint64(s), out=chunk)
+        np.add(chunk, inc[:n], out=chunk)
+        s = int(chunk[-1])
+        np.right_shift(chunk, np.uint64(11), out=chunk)
+        np.multiply(chunk, 2.0**-53, out=out[lo : lo + n])
+    return out
 
 
 def wrap_halos(data: np.ndarray) -> None:

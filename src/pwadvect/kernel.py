@@ -2,11 +2,11 @@
 
 The three tendency formulas (docs/model-notes.md section 2) are written once,
 as `su_formula` / `sv_formula` / `sw_formula`, over plain operands. Scalar
-point evaluation, the blocked reference kernel, every execution schedule
-and the operation-census walker all call these same expressions, which is
-what makes their results bit-identical: the per-element operation sequence
-is fixed here (X term, + Y term, + Z term, inner parenthesisation as
-written) and nowhere else.
+point evaluation calls them directly; `compute_block` (the blocked reference
+kernel and every execution schedule) and the operation census replay the
+tapes recorded from them at import. That is what makes their results
+bit-identical: the per-element operation sequence is fixed here (X term,
++ Y term, + Z term, inner parenthesisation as written) and nowhere else.
 """
 
 from __future__ import annotations
@@ -136,30 +136,123 @@ COMPUTE_ROLES: tuple[tuple[str, int, int], ...] = tuple(
 )
 
 
-def compute_block(coeffs: AdvectionCoefficients, roles: dict):
-    """Evaluate su/sv/sw for columns given their role arrays.
+# ---------------------------------------------------------------------------
+# Formula tapes. At import each formula is run once, mid-column and top
+# variant, on symbolic operands, and every operation it performs is recorded
+# in Python's evaluation order as (ufunc, a, b, dest): indices into one flat
+# operand list
+#     [tcx, tcy, tzc1_k, tzc2_k, *15 field operands, result, *slots]
+# Temporaries are given scratch slots by liveness and the last operation
+# writes the result, so a block is evaluated by `out=` ufunc calls into
+# reused buffers and the caller's output. Each element still sees the same
+# IEEE operations in the same order as the written formula.
+
+_NCOEFS = 4
+_NLEAVES = _NCOEFS + 15
+_RESULT = _NLEAVES
+
+
+class _Sym:
+    """Symbolic operand: node `node` of the recording `ops` (leaves first)."""
+
+    __slots__ = ("ops", "node")
+
+    def __init__(self, ops, node):
+        self.ops = ops
+        self.node = node
+
+    def _op(self, ufunc, other):
+        self.ops.append((ufunc, self.node, other.node))
+        return _Sym(self.ops, _NLEAVES + len(self.ops) - 1)
+
+    def __add__(self, other):
+        return self._op(np.add, other)
+
+    def __sub__(self, other):
+        return self._op(np.subtract, other)
+
+    def __mul__(self, other):
+        return self._op(np.multiply, other)
+
+
+def _record(formula, top: bool) -> list:
+    """The formula's operations as (ufunc, a, b, dest) over the flat operand list."""
+    ops = []
+    formula(*(_Sym(ops, n) for n in range(_NLEAVES)), top=top)
+    last_use = {}
+    for n, (_, a, b) in enumerate(ops):
+        last_use[a] = last_use[b] = n
+    where = list(range(_NLEAVES))  # node -> flat index
+    free, nslots, tape = [], 0, []
+    for n, (ufunc, a, b) in enumerate(ops):
+        for node in {a, b}:
+            if node >= _NLEAVES and last_use[node] == n:
+                free.append(where[node])
+        if n == len(ops) - 1:
+            dest = _RESULT
+        elif free:
+            dest = min(free)
+            free.remove(dest)
+        else:
+            nslots += 1
+            dest = _RESULT + nslots
+        where.append(dest)
+        tape.append((ufunc, where[a], where[b], dest))
+    return tape
+
+
+# Per formula (tape, operand wiring), mid-column levels and the top level.
+_MID_TAPES = tuple((_record(formula, False), spec) for formula, spec in _FORMULAS)
+_TOP_TAPES = tuple((_record(formula, True), spec) for formula, spec in _FORMULAS)
+_NSLOTS = max(d for tape, _ in _MID_TAPES + _TOP_TAPES for *_, d in tape) - _RESULT
+
+
+def new_scratch(shape) -> tuple[list, list]:
+    """Slot buffers for blocks of role shape (..., nz): mid levels, top level.
+
+    Every slot is a contiguous array of its own; slots sliced out of one
+    (..., nz) buffer would make every temporary strided, which is slower.
+    """
+    *lead, nz = shape
+    mid = np.empty((_NSLOTS, *lead, nz - 2))
+    top = np.empty((_NSLOTS, *lead))
+    return ([mid[s, ...] for s in range(_NSLOTS)],
+            [top[s, ...] for s in range(_NSLOTS)])
+
+
+def compute_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:
+    """Evaluate su/sv/sw for columns given their role arrays, into `out`.
 
     `roles` maps each key in COMPUTE_ROLES to an array shaped (..., nz) with
-    a common (possibly empty) leading shape. Returns three arrays of that
-    shape with level k=1 zeroed.
+    a common (possibly empty) leading shape. `out` is (su, sv, sw), arrays of
+    that shape; levels k >= 2 are written and level k = 1 is left as it is.
+    `scratch` is a dict the caller owns and passes to every call: it keeps
+    one `new_scratch` per role shape, so callers running concurrently need
+    one each.
     """
-    nz = roles[("u", 0, 0)].shape[-1]
-    kmap = {0: slice(1, nz - 1), -1: slice(0, nz - 2), 1: slice(2, nz)}
-    t = nz - 1
-    out = []
-    for formula, argspec in _FORMULAS:
-        s = np.zeros_like(roles[("u", 0, 0)])
-        if nz > 2:
-            ops = [roles[(f, dx, dy)][..., kmap[dk]] for f, dx, dy, dk in argspec]
-            s[..., kmap[0]] = formula(coeffs.tcx, coeffs.tcy,
-                                      coeffs.tzc1[kmap[0]], coeffs.tzc2[kmap[0]], *ops)
-        ops = [roles[(f, dx, dy)][..., t - 1 if dk == -1 else t]
-               for f, dx, dy, dk in argspec]
-        s[..., t] = formula(coeffs.tcx, coeffs.tcy,
-                            float(coeffs.tzc1[t]), float(coeffs.tzc2[t]),
-                            *ops, top=True)
-        out.append(s)
-    return tuple(out)
+    shape = roles[("u", 0, 0)].shape
+    slots = scratch.get(shape)
+    if slots is None:
+        slots = scratch[shape] = new_scratch(shape)
+    t = shape[-1] - 1
+    tcx, tcy = coeffs.tcx, coeffs.tcy
+    if t > 1:
+        mid = {dk: slice(1 + dk, t + dk) for dk in (-1, 0, 1)}
+        _replay(_MID_TAPES, (tcx, tcy, coeffs.tzc1[1:t], coeffs.tzc2[1:t]),
+                roles, mid, out, mid[0], slots[0])
+    # the top tapes never read the k+1 operands; level t stands in for them
+    top = {-1: t - 1, 0: t, 1: t}
+    _replay(_TOP_TAPES, (tcx, tcy, float(coeffs.tzc1[t]), float(coeffs.tzc2[t])),
+            roles, top, out, t, slots[1])
+
+
+def _replay(tapes, coefs, roles, ks, out, k, slots) -> None:
+    """Run each formula's tape on the role views at levels ks[dk], into out[..., k]."""
+    for (tape, spec), dest in zip(tapes, out):
+        vals = [*coefs, *[roles[(f, dx, dy)][..., ks[dk]] for f, dx, dy, dk in spec],
+                dest[..., k], *slots]
+        for ufunc, a, b, d in tape:
+            ufunc(vals[a], vals[b], vals[d])  # third argument is `out`
 
 
 def grid_roles(fields: FieldSet, x0: int, x1: int, j0: int, j1: int) -> dict:
@@ -169,14 +262,6 @@ def grid_roles(fields: FieldSet, x0: int, x1: int, j0: int, j1: int) -> dict:
         (f, dx, dy): arrs[f][x0 + dx : x1 + dx, j0 + dy : j1 + dy, :]
         for f, dx, dy in COMPUTE_ROLES
     }
-
-
-def write_block(out: SourceSet, blocks, i0: int, i1: int, j0: int, j1: int) -> None:
-    """Store computed columns i in [i0, i1), j in [j0, j1), levels k >= 2."""
-    su, sv, sw = blocks
-    out.su.data[i0:i1, j0:j1, 1:] = su[..., 1:]
-    out.sv.data[i0:i1, j0:j1, 1:] = sv[..., 1:]
-    out.sw.data[i0:i1, j0:j1, 1:] = sw[..., 1:]
 
 
 # Cells per block of the blocked reference run: 65,536 cells is 512 KiB per
@@ -192,17 +277,19 @@ def run_blocks(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
     Blocks are whole X planes, as many as fit in BLOCK_CELLS; a plane larger
     than that is split in Y. Every element is still computed by
     `compute_block` in the canonical order, so the result is independent of
-    the block shape.
+    the block shape; the blocks share one scratch per block shape.
     """
     ny, nz = fields.dims.ny, fields.dims.nz
     planes = max(1, BLOCK_CELLS // (ny * nz))
     rows = min(ny, max(1, BLOCK_CELLS // nz))
+    scratch = {}
     for i0 in range(x0, x1, planes):
         i1 = min(i0 + planes, x1)
         for j0 in range(1, ny + 1, rows):
             j1 = min(j0 + rows, ny + 1)
-            blocks = compute_block(coeffs, grid_roles(fields, i0, i1, j0, j1))
-            write_block(out, blocks, i0, i1, j0, j1)
+            compute_block(coeffs, grid_roles(fields, i0, i1, j0, j1),
+                          tuple(f.data[i0:i1, j0:j1] for f in (out.su, out.sv, out.sw)),
+                          scratch)
 
 
 def run_reference(fields: FieldSet, coeffs: AdvectionCoefficients) -> SourceSet:
@@ -243,57 +330,21 @@ def advect_point_w(fields: FieldSet, coeffs: AdvectionCoefficients,
     return _advect_point(sw_formula, _SW_ARGS, fields, coeffs, i, j, k)
 
 
-# ---------------------------------------------------------------------------
-# Operation census: walk the implemented expressions with a counting operand
-# type. Field operands are tallied leaves; coefficients are plain floats and
-# are not counted as loads.
-
-
-class _Tally:
-    __slots__ = ("census", "leaf")
-
-    def __init__(self, census, leaf):
-        self.census = census
-        self.leaf = leaf
-
-    def _touch(self):
-        if self.leaf:
-            self.census["loads"] += 1
-
-    def _binop(self, other, kind):
-        self._touch()
-        if isinstance(other, _Tally):
-            other._touch()
-        self.census[kind] += 1
-        return _Tally(self.census, leaf=False)
-
-    def __add__(self, other):
-        return self._binop(other, "adds")
-
-    def __sub__(self, other):
-        return self._binop(other, "adds")
-
-    def __mul__(self, other):
-        return self._binop(other, "muls")
-
-    __radd__ = __add__
-    __rsub__ = __sub__
-    __rmul__ = __mul__
-
-
 def operation_census(top: bool = False) -> dict:
     """Multiplications, add/subs and operand loads per point, per formula.
 
-    Counts come from symbolically executing the formulas themselves, so they
-    track the implementation exactly. For k < nz each formula performs
-    10 muls + 11 add/subs over 18 operand reads; at k = nz, 8 + 9 over 15.
+    Counts come from the recorded formula tapes that `compute_block`
+    evaluates, so they track the implementation exactly; coefficients are
+    not counted as loads. For k < nz each formula performs 10 muls +
+    11 add/subs over 18 operand reads; at k = nz, 8 + 9 over 15.
     """
     census = {}
-    for name, (formula, _spec) in zip(("su", "sv", "sw"), _FORMULAS):
-        counts = {"muls": 0, "adds": 0, "loads": 0}
-        operands = [_Tally(counts, leaf=True) for _ in range(15)]
-        formula(1.0, 1.0, 1.0, 1.0, *operands, top=top)
-        census[name] = counts
+    for name, (tape, _spec) in zip(("su", "sv", "sw"), _TOP_TAPES if top else _MID_TAPES):
+        census[name] = {
+            "muls": sum(ufunc is np.multiply for ufunc, *_ in tape),
+            "adds": sum(ufunc is not np.multiply for ufunc, *_ in tape),
+            "loads": sum(_NCOEFS <= x < _NLEAVES for _, a, b, _d in tape for x in (a, b)),
+        }
     return census
 
 

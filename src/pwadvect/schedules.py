@@ -9,6 +9,7 @@ double-precision elements; conventions are in docs/model-notes.md section 3.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .kernel import (
     compute_block,
     reads_per_point,
     run_blocks,
-    write_block,
 )
 
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
@@ -120,9 +120,8 @@ def _column_reads(nz: int) -> int:
     return reads_per_point(False) * (nz - 2) + reads_per_point(True)
 
 
-def _write_outputs(out: SourceSet, blocks, i0, i1, j0, j1, tc: TrafficReport):
-    write_block(out, blocks, i0, i1, j0, j1)
-    _count_writes(tc, (i1 - i0) * (j1 - j0), out.dims.nz)
+def _out_rows(out: SourceSet, i: int, j0: int, bw: int):
+    return tuple(f.data[i, j0 : j0 + bw] for f in (out.su, out.sv, out.sw))
 
 
 def _count_writes(tc: TrafficReport, columns: int, nz: int):
@@ -144,6 +143,7 @@ def _run_buffered_slab(fields, coeffs, out, slab, spec, tc, batch):
     arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
     col_reads = _column_reads(nz)
     peak = 0
+    scratch = {}
     for i in range(slab.x_begin, slab.x_end):
         for j0 in range(1, ny + 1, batch):
             bw = min(batch, ny + 1 - j0)
@@ -153,9 +153,9 @@ def _run_buffered_slab(fields, coeffs, out, slab, spec, tc, batch):
             tc.external_reads += len(COMPUTE_ROLES) * bw * nz
             tc.local_writes += len(COMPUTE_ROLES) * bw * nz
             peak = max(peak, len(COMPUTE_ROLES) * bw * nz * 8)
-            blocks = compute_block(coeffs, buf)
+            compute_block(coeffs, buf, _out_rows(out, i, j0, bw), scratch)
             tc.local_reads += bw * col_reads
-            _write_outputs(out, blocks, i, i + 1, j0, j0 + bw, tc)
+            _count_writes(tc, bw, nz)
     tc.scratch_bytes_peak = max(tc.scratch_bytes_peak, peak)
 
 
@@ -165,6 +165,7 @@ def _run_x_reordered_slab(fields, coeffs, out, slab, spec, tc):
     nz, ny = dims.nz, dims.ny
     arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
     col_reads = _column_reads(nz)
+    scratch = {}
     for j0 in range(1, ny + 1, spec.y_batch):
         bw = min(spec.y_batch, ny + 1 - j0)
         buf = {role: np.empty((bw, nz)) for role in XSHIFT_ROLES}
@@ -188,9 +189,9 @@ def _run_x_reordered_slab(fields, coeffs, out, slab, spec, tc):
                     tc.local_writes += bw * nz
                 for role in _FETCH_ROLES:
                     fetch(role, i)
-            blocks = compute_block(coeffs, buf)
+            compute_block(coeffs, buf, _out_rows(out, i, j0, bw), scratch)
             tc.local_reads += bw * col_reads
-            _write_outputs(out, blocks, i, i + 1, j0, j0 + bw, tc)
+            _count_writes(tc, bw, nz)
 
 
 def _run_slab(fields, coeffs, out, slab, spec) -> TrafficReport:
@@ -223,7 +224,8 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
     if len(slabs) == 1:
         counters = [_run_slab(fields, coeffs, out, slabs[0], spec)]
     else:
-        with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
+        # engines are logical: the pool never has more threads than cores
+        with ThreadPoolExecutor(max_workers=min(len(slabs), os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_run_slab, fields, coeffs, out, slab, spec)
                        for slab in slabs]
             counters = [f.result() for f in futures]

@@ -1,4 +1,4 @@
-"""Layer microbenchmarks: one kernel block, the blocked reference run, checksum.
+"""Layer microbenchmarks: kernel blocks, the blocked reference run, checksum.
 
 pyproject.toml sets --benchmark-disable, so in the normal suite each runs
 once as a plain test. Time them with:
@@ -6,6 +6,7 @@ once as a plain test. Time them with:
     python -m pytest tests/test_bench_layers.py --benchmark-enable
 """
 
+import numpy as np
 import pytest
 
 from pwadvect import kernel
@@ -22,12 +23,24 @@ def case():
 
 
 def test_bench_compute_block_one_block(benchmark, case):
+    # the reference run's block: whole X planes of BLOCK_CELLS cells
     dims, fields, coeffs = case
     planes = kernel.BLOCK_CELLS // (dims.ny * dims.nz)
     roles = grid_roles(fields, 1, 1 + planes, 1, dims.ny + 1)
-    su, sv, sw = benchmark(compute_block, coeffs, roles)
-    assert su.shape == sv.shape == sw.shape == (planes, dims.ny, dims.nz)
-    assert su.size == kernel.BLOCK_CELLS
+    out = tuple(np.zeros((planes, dims.ny, dims.nz)) for _ in range(3))
+    benchmark(compute_block, coeffs, roles, out, {})
+    assert out[0].size == kernel.BLOCK_CELLS
+    assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
+
+
+def test_bench_compute_block_x_reordered_block(benchmark, case):
+    # the x_reordered schedule's block: one contiguous (y_batch, nz) buffer
+    # per role, y_batch = 64
+    dims, fields, coeffs = case
+    roles = {role: view[0].copy() for role, view in grid_roles(fields, 1, 2, 1, 65).items()}
+    out = tuple(np.zeros((64, dims.nz)) for _ in range(3))
+    benchmark(compute_block, coeffs, roles, out, {})
+    assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
 
 
 def test_bench_run_reference(benchmark, case):

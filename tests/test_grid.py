@@ -89,7 +89,10 @@ def test_generation_determinism():
 
 
 def test_lcg_matches_documented_recurrence():
-    for seed, count in ((0, 1), (42, 1000), (2**63 + 5, 4097)):
+    # the last four counts end just before, on and after the edges of the
+    # 65,536-value chunks the generator works in
+    for seed, count in ((0, 1), (42, 1000), (2**63 + 5, 4097), (7, 65_535), (8, 65_536),
+                        (9, 65_537), (2**64 - 1, 3 * 65_536 + 7)):
         assert np.array_equal(lcg_doubles(seed, count), naive_lcg_doubles(seed, count))
     assert lcg_doubles(1, 0).size == 0
 

@@ -4,15 +4,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pwadvect import kernel
 from pwadvect.grid import GeneratorSpec, checksum, fill_fields, make_grid, wrap_halos
 from pwadvect.kernel import (
+    COMPUTE_ROLES,
     AdvectionCoefficients,
     FlopProfile,
     advect_point_u,
     advect_point_v,
     advect_point_w,
+    compute_block,
     default_coefficients,
     flops,
     operation_census,
@@ -201,9 +206,9 @@ def _block_shapes(monkeypatch, block_cells):
     shapes = []
     real = kernel.compute_block
 
-    def recording(coeffs, roles):
+    def recording(coeffs, roles, out, scratch):
         shapes.append(roles[("u", 0, 0)].shape[:2])
-        return real(coeffs, roles)
+        return real(coeffs, roles, out, scratch)
 
     monkeypatch.setattr(kernel, "compute_block", recording)
     return shapes
@@ -275,3 +280,84 @@ def test_reference_extra_memory_within_one_field(grid):
         tracemalloc.stop()
     assert out.su.data.shape == dims.padded_shape
     assert peak - 3 * field_bytes <= field_bytes
+
+
+# Values where a reordered or fused evaluation would show: non-finite values,
+# signed zeros, subnormals and the largest finite value.
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308)
+
+
+@st.composite
+def replay_cases(draw):
+    nz = draw(st.sampled_from((2, 3, 8)))
+    lead = draw(st.sampled_from(((), (1,), (3, 5))))
+    values = st.floats(width=64) | st.sampled_from(SPECIAL)
+    roles = {role: draw(hnp.arrays(np.float64, (*lead, nz), elements=values))
+             for role in COMPUTE_ROLES}
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((-0.0, 5e-324))
+    coeffs = AdvectionCoefficients(draw(finite), draw(finite),
+                                   draw(hnp.arrays(np.float64, nz, elements=finite)),
+                                   draw(hnp.arrays(np.float64, nz, elements=finite)))
+    return coeffs, roles
+
+
+def _same_bits(got, want):
+    """Bitwise equal, except that a NaN matches any NaN.
+
+    When both operands of one operation are NaN, which one numpy returns
+    depends on the inner loop it picks: (-nan) + (+nan) gives -nan into a
+    fresh one-element array and +nan in place. So the sign and payload of
+    a NaN result are no property of the formulas.
+    """
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(replay_cases())
+def test_replay_bitwise_equals_formulas(case):
+    """compute_block's recorded tapes equal the formulas called on the same operands."""
+    coeffs, roles = case
+    nz = roles[("u", 0, 0)].shape[-1]
+    t = nz - 1
+    sentinel = -1.25e-300
+    out = tuple(np.full(roles[("u", 0, 0)].shape, sentinel) for _ in range(3))
+    with np.errstate(all="ignore"):
+        compute_block(coeffs, roles, out, {})
+        for (formula, spec), got in zip(kernel._FORMULAS, out):
+            if nz > 2:
+                ops = [roles[(f, dx, dy)][..., 1 + dk : t + dk] for f, dx, dy, dk in spec]
+                want = formula(coeffs.tcx, coeffs.tcy, coeffs.tzc1[1:t], coeffs.tzc2[1:t], *ops)
+                assert _same_bits(got[..., 1:t], want)
+            ops = [roles[(f, dx, dy)][..., t - 1 if dk == -1 else t] for f, dx, dy, dk in spec]
+            want = formula(coeffs.tcx, coeffs.tcy, float(coeffs.tzc1[t]),
+                           float(coeffs.tzc2[t]), *ops, top=True)
+            assert _same_bits(got[..., t], want)
+            assert np.all(got[..., 0].view(np.int64) == np.float64(sentinel).view(np.int64))
+
+
+def _count_scratch(monkeypatch):
+    """Record the role shape of every new_scratch call."""
+    shapes = []
+    real = kernel.new_scratch
+
+    def counting(shape):
+        shapes.append(shape)
+        return real(shape)
+
+    monkeypatch.setattr(kernel, "new_scratch", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("grid,expected", [
+    ((128, 128, 64), [(8, 128, 64)]),
+    ((130, 128, 64), [(8, 128, 64), (2, 128, 64)]),  # ragged last block
+])
+def test_reference_reuses_scratch(monkeypatch, grid, expected):
+    dims = make_grid(*grid)
+    fields = fill_fields(dims, GeneratorSpec.uniform(1.0, 2.0, 3.0))
+    shapes = _count_scratch(monkeypatch)
+    run_reference(fields, default_coefficients(dims.nz))
+    assert shapes == expected

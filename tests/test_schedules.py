@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from pwadvect import kernel, schedules
 from pwadvect.grid import GeneratorSpec, fill_fields, make_grid
 from pwadvect.kernel import AdvectionCoefficients, default_coefficients, run_reference
 from pwadvect.schedules import (
@@ -75,6 +78,42 @@ def test_engine_count_independence():
                for e in (1, 2, 4, 8, 12)]
     for other in outputs[1:]:
         assert compare_outputs(outputs[0], other).bitwise_equal
+
+
+@pytest.mark.parametrize("variant,widths", [("column_buffered", {1}),
+                                            ("y_batched", {4, 3}),
+                                            ("x_reordered", {4, 3})])
+def test_slab_engines_reuse_scratch(monkeypatch, variant, widths):
+    # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab, so
+    # one scratch per batch width and slab
+    dims, fields, coeffs = case(nx=6, ny=11, nz=5)
+    real = kernel.new_scratch
+    calls = []
+
+    def counting(shape):
+        calls.append(shape)
+        return real(shape)
+
+    monkeypatch.setattr(kernel, "new_scratch", counting)
+    out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, 4, engines=3))
+    assert sorted(calls) == sorted([(w, dims.nz) for w in widths] * 3)
+    assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
+
+
+def test_engine_threads_capped_by_cores(monkeypatch):
+    dims, fields, coeffs = case(nx=16, ny=5, nz=6)
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(schedules.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(schedules, "ThreadPoolExecutor", RecordingPool)
+    out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 2, engines=16))
+    assert sizes == [2]
+    assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
 
 
 def test_traffic_closed_forms_single_engine():
