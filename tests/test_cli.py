@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -37,6 +38,29 @@ def test_validate_compares_against_refdata(monkeypatch, capsys):
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL  ")]
     assert len(fails) == 1
     assert fails[0].startswith("FAIL  kernel GFLOP/s at 268.3M cells, 12 engines")
+
+
+def test_repeated_main_leaves_no_cyclic_garbage(capsys):
+    run_cli("validate")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert run_cli("validate") == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_repeated_main_calls_do_not_share_state(tmp_path):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert run_cli("sweep", "--grid", "64x64x64", "--engines", "1,2", "--out", str(one)) == 0
+    assert run_cli("sweep", "--grid", "64x64x64", "--out", str(two)) == 0
+    assert run_cli("bench", "--grid", "4x4x4", "--reps", "0") == 2
+    with open(one) as f1, open(two) as f2:
+        rows1, rows2 = list(csv.DictReader(f1)), list(csv.DictReader(f2))
+    assert [r["engines"] for r in rows1] == ["1", "2"]
+    assert rows2 == rows1[:1]
 
 
 def test_validate_missing_params_file_is_usage_error(capsys):
