@@ -16,10 +16,7 @@ from .grid import (
     SourceSet,
     checksum,
     fill_fields,
-    linear_index,
     make_grid,
-    read_field,
-    write_field,
 )
 from .kernel import (
     AdvectionCoefficients,

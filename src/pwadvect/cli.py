@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataflow import calibrate, kernel_time, pipeline_cycles, pipeline_latency
 from .grid import GeneratorSpec, checksum, fill_fields, make_grid
-from .kernel import default_coefficients
+from .kernel import default_coefficients, evaluator
 from .params import ModelParams, ParamError, dump_params, load_params
 from .refdata import (
     BATCH_ELEMENTS, BATCHED_PIPE, COLUMN_LENGTH, COLUMN_PIPE, DATA_SOURCE, DMA_FRACTION_FLOOR,
@@ -40,7 +40,7 @@ BENCH_COLUMNS = ("schedule", "engines", "y_batch", "nx", "ny", "nz", "reps",
                  "wall_min_s", "wall_mean_s", "wall_all_s",
                  "checksum_su", "checksum_sv", "checksum_sw",
                  "external_reads", "external_writes", "local_reads", "local_writes",
-                 "scratch_bytes_peak", "host")
+                 "scratch_bytes_peak", "kernel", "host")
 
 _SCHEDULE_NAMES = {v.replace("_", ""): v for v in VARIANTS}
 
@@ -138,9 +138,11 @@ def cmd_bench(args, parser) -> int:
     coeffs = default_coefficients(dims.nz)
     rows, failures = [], []
     host = _host_description()
+    # the default y_batch shrinks to fit ny; an explicit one must fit already
+    y_batch = min(64, dims.ny) if args.y_batch is None else args.y_batch
     for variant in args.schedule:
         with _usage_errors(parser):
-            spec = ScheduleSpec(variant, y_batch=min(args.y_batch, dims.ny), engines=args.engines)
+            spec = ScheduleSpec(variant, y_batch=y_batch, engines=args.engines)
             spec.validate(dims)
         walls, sums, traffic = [], None, None
         for _ in range(args.reps):
@@ -162,7 +164,8 @@ def cmd_bench(args, parser) -> int:
             "external_reads": traffic.external_reads,
             "external_writes": traffic.external_writes,
             "local_reads": traffic.local_reads, "local_writes": traffic.local_writes,
-            "scratch_bytes_peak": traffic.scratch_bytes_peak, "host": host,
+            "scratch_bytes_peak": traffic.scratch_bytes_peak, "kernel": evaluator(),
+            "host": host,
         })
     digests = {(r["checksum_su"], r["checksum_sv"], r["checksum_sw"]) for r in rows}
     if len(digests) > 1:
@@ -342,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--schedule", action="append", type=_canon_schedule,
                        metavar="NAME", help="repeatable; default reference")
     bench.add_argument("--engines", type=int, default=1)
-    bench.add_argument("--y-batch", type=int, default=64, dest="y_batch")
+    bench.add_argument("--y-batch", type=int, dest="y_batch",
+                       help="Y batch of y_batched/x_reordered, at most ny; default min(64, ny)")
     bench.add_argument("--gen", choices=("uniform", "trig", "random"), default="random")
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--reps", type=int, default=5)

@@ -1,4 +1,4 @@
-"""Halo-padded 3D wind-field grids: layout, generation, checksums, I/O.
+"""Halo-padded 3D wind-field grids: layout, generation, checksums.
 
 Interior cells are 1-based (i in 1..nx, j in 1..ny, k in 1..nz) with a
 periodic halo of width 1 in X and Y. Storage is k-fastest: a Field3D wraps
@@ -9,7 +9,6 @@ contiguous and ``array[i, j, k-1]`` is cell (i, j, k).
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +54,6 @@ def make_grid(nx: int, ny: int, nz: int) -> GridDims:
     if nz < 2:
         raise GridError(f"nz must be >= 2 (column stencil starts at k=2), got {nz}")
     return GridDims(nx, ny, nz)
-
-
-def linear_index(i: int, j: int, k: int, dims: GridDims) -> int:
-    """Flat offset of padded cell (i, j, k); i, j include halos, k is 1-based."""
-    assert 0 <= i <= dims.nx + 1 and 0 <= j <= dims.ny + 1 and 1 <= k <= dims.nz
-    return (i * (dims.ny + 2) + j) * dims.nz + (k - 1)
 
 
 @dataclass
@@ -252,24 +245,3 @@ def checksum(f: Field3D) -> str:
     for plane in f.interior:
         digest.update(np.ascontiguousarray(plane, dtype="<f8"))
     return digest.hexdigest()
-
-
-_HEADER = struct.Struct("<qqq")  # nx, ny, nz
-
-
-def write_field(f: Field3D, path) -> None:
-    """24-byte header (nx, ny, nz as little-endian int64) + padded data."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(f.dims.nx, f.dims.ny, f.dims.nz))
-        fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
-
-
-def read_field(path) -> Field3D:
-    with open(path, "rb") as fh:
-        nx, ny, nz = _HEADER.unpack(fh.read(_HEADER.size))
-        dims = make_grid(nx, ny, nz)
-        raw = fh.read(dims.padded_len * 8)
-    if len(raw) != dims.padded_len * 8:
-        raise GridError(f"truncated field file {path}")
-    data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims.padded_shape)
-    return Field3D(dims, data)

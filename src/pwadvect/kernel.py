@@ -2,16 +2,27 @@
 
 The three tendency formulas (docs/model-notes.md section 2) are written once,
 as `su_formula` / `sv_formula` / `sw_formula`, over plain operands. Scalar
-point evaluation calls them directly; `compute_block` (the blocked reference
-kernel and every execution schedule) and the operation census replay the
-tapes recorded from them at import. That is what makes their results
-bit-identical: the per-element operation sequence is fixed here (X term,
-+ Y term, + Z term, inner parenthesisation as written) and nowhere else.
+point evaluation calls them directly; the operation census counts the tapes
+recorded from them at import, and `compute_block` (the blocked reference
+kernel and every execution schedule) runs those tapes, as C generated from
+them or, without a compiler, replayed in numpy. That is what makes their
+results bit-identical: the per-element operation sequence is fixed here
+(X term, + Y term, + Z term, inner parenthesisation as written) and nowhere
+else.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -220,17 +231,183 @@ def new_scratch(shape) -> tuple[list, list]:
             [top[s, ...] for s in range(_NSLOTS)])
 
 
+# ---------------------------------------------------------------------------
+# The compiled kernel: kernel_source() emits the tapes as C, so the C has no
+# formula of its own, and gcc builds it on first use, never at import.
+# Contraction stays off because a fused multiply-add rounds once where the
+# tape rounds twice. The library is cached under .bench_build/ by a hash of
+# the source, the flags and the compiler version. Without a working gcc,
+# compute_block replays the tapes in numpy.
+
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_C_OPS = {np.add: "+", np.subtract: "-", np.multiply: "*"}
+_CACHE_DIR = Path(__file__).resolve().parents[2] / ".bench_build"
+_UNBUILT = object()
+_lib = _UNBUILT  # the loaded kernel library, or None for the numpy replay
+_build_lock = threading.Lock()
+
+
+def _c_level(tapes, k: str, ks: dict) -> list[str]:
+    """C statements running each formula's tape at level `k`, operands at ks[dk]."""
+    lines = []
+    for q, (tape, spec) in enumerate(tapes):
+        names = ["tcx", "tcy", f"tzc1[{k}]", f"tzc2[{k}]",
+                 *(f"r{COMPUTE_ROLES.index((f, dx, dy))}[{ks[dk]}]" for f, dx, dy, dk in spec),
+                 f"o{q}[{k}]", *(f"s{n}" for n in range(1, _NSLOTS + 1))]
+        lines += [f"{names[d]} = {names[a]} {_C_OPS[ufunc]} {names[b]};"
+                  for ufunc, a, b, d in tape]
+    return lines
+
+
+def kernel_source() -> str:
+    """The C source of the compiled kernel, generated from the formula tapes.
+
+    `desc` holds (base address, stride 0, stride 1) per array, strides in
+    bytes: the 17 COMPUTE_ROLES in order (r0..r16), then su, sv, sw
+    (o0..o2). Column (a, b) of array n starts at COLUMN(n).
+    """
+    columns = [f"const double *r{n} = COLUMN({n});  /* {f} {dx:+d} {dy:+d} */"
+               for n, (f, dx, dy) in enumerate(COMPUTE_ROLES)]
+    columns += [f"double *o{q} = COLUMN({len(COMPUTE_ROLES) + q});  /* {name} */"
+                for q, name in enumerate(("su", "sv", "sw"))]
+    columns.append(f"double {', '.join(f's{n}' for n in range(1, _NSLOTS + 1))};")
+    mid = _c_level(_MID_TAPES, "k", {-1: "k - 1", 0: "k", 1: "k + 1"})
+    # the top tapes never read the k+1 operands; level t stands in for them
+    top = _c_level(_TOP_TAPES, "t", {-1: "t - 1", 0: "t", 1: "t"})
+
+    def indent(lines, depth):
+        return [" " * 4 * depth + line for line in lines]
+
+    return "\n".join([
+        "/* Generated by pwadvect.kernel from the formula tapes; do not edit. */",
+        "#include <stdint.h>",
+        "",
+        "#define COLUMN(n) ((double *)((char *)(intptr_t)desc[3 * (n)]"
+        " + a * desc[3 * (n) + 1] + b * desc[3 * (n) + 2]))",
+        "",
+        "void pwadvect_block(int64_t n0, int64_t n1, int64_t nz, double tcx, double tcy,",
+        "                    const double *tzc1, const double *tzc2, const int64_t *desc)",
+        "{",
+        "    const int64_t t = nz - 1;",
+        "    for (int64_t a = 0; a < n0; a++) {",
+        "        for (int64_t b = 0; b < n1; b++) {",
+        *indent(columns, 3),
+        "            for (int64_t k = 1; k < t; k++) {",
+        *indent(mid, 4),
+        "            }",
+        *indent(top, 3),
+        "        }",
+        "    }",
+        "}",
+        "",
+    ])
+
+
+def _build():
+    """Load the cached kernel library, compiling it first if needed; None on failure."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        warnings.warn("pwadvect: no C compiler (gcc) found; compute_block uses the "
+                      "slower numpy replay", RuntimeWarning)
+        return None
+    source = kernel_source()
+    try:
+        version = subprocess.run([gcc, "--version"], capture_output=True, text=True,
+                                 check=True).stdout
+        key = hashlib.sha256("\0".join([source, *CFLAGS, version]).encode()).hexdigest()
+        path = _CACHE_DIR / f"pwadvect_kernel-{key[:16]}.so"
+        if not path.exists():
+            _CACHE_DIR.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=_CACHE_DIR, suffix=".so.tmp")
+            os.close(fd)
+            try:
+                subprocess.run([gcc, *CFLAGS, "-x", "c", "-", "-o", tmp], input=source,
+                               capture_output=True, text=True, check=True)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or str(exc)
+        warnings.warn(f"pwadvect: building the C kernel failed ({detail.strip()}); "
+                      "compute_block uses the slower numpy replay", RuntimeWarning)
+        return None
+    lib.pwadvect_block.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                                   ctypes.c_double, ctypes.c_double,
+                                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    lib.pwadvect_block.restype = None
+    return lib
+
+
+def _compiled():
+    """The kernel library, built on the first call of the process; None: use the replay."""
+    global _lib
+    if _lib is _UNBUILT:
+        with _build_lock:  # engine threads may make the first call together
+            if _lib is _UNBUILT:
+                _lib = _build()
+    return _lib
+
+
+def evaluator() -> str:
+    """Which evaluator compute_block runs: "compiled" or "numpy" (the replay)."""
+    return "numpy" if _compiled() is None else "compiled"
+
+
+def _checked_arrays(coeffs: AdvectionCoefficients, roles: dict, out) -> list:
+    """The 17 role arrays in COMPUTE_ROLES order, then su, sv, sw, once checked."""
+    try:
+        arrays = [roles[role] for role in COMPUTE_ROLES]
+    except KeyError as exc:
+        raise ValueError(f"missing role {exc.args[0]}") from None
+    if len(out) != 3:
+        raise ValueError(f"out must hold su, sv, sw; got {len(out)} arrays")
+    arrays += out
+    shape = getattr(arrays[0], "shape", ())
+    if not 1 <= len(shape) <= 3:
+        raise ValueError(f"role arrays must be shaped (..., nz) with at most two "
+                         f"leading axes, got shape {shape}")
+    if shape[-1] != coeffs.nz or coeffs.nz < 2:
+        raise ValueError(f"role arrays have nz = {shape[-1]}, coefficients {coeffs.nz} "
+                         "(need equal, >= 2)")
+    for name, arr in zip((*COMPUTE_ROLES, "su", "sv", "sw"), arrays):
+        output = isinstance(name, str)
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.shape == shape and arr.strides[-1] == 8 and arr.flags.aligned
+                and (arr.flags.writeable or not output)):
+            raise ValueError(f"{name}: need an aligned{' writeable' if output else ''} "
+                             f"float64 array of shape {shape} with unit k-stride")
+    return arrays
+
+
 def compute_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:
     """Evaluate su/sv/sw for columns given their role arrays, into `out`.
 
-    `roles` maps each key in COMPUTE_ROLES to an array shaped (..., nz) with
-    a common (possibly empty) leading shape. `out` is (su, sv, sw), arrays of
-    that shape; levels k >= 2 are written and level k = 1 is left as it is.
-    `scratch` is a dict the caller owns and passes to every call: it keeps
-    one `new_scratch` per role shape, so callers running concurrently need
-    one each.
+    `roles` maps each key in COMPUTE_ROLES to a float64 array shaped
+    (..., nz), with a common leading shape of at most two axes and unit
+    stride along k. `out` is (su, sv, sw), writeable arrays of that shape;
+    levels k >= 2 are written and level k = 1 is left as it is. A bad role
+    or output raises ValueError. The compiled kernel reads the arrays in
+    place; the numpy replay (no compiler) evaluates into scratch slots
+    kept in `scratch`, a dict the caller owns and passes to every call, one
+    `new_scratch` per role shape, so callers running concurrently need one
+    each.
     """
-    shape = roles[("u", 0, 0)].shape
+    arrays = _checked_arrays(coeffs, roles, out)
+    shape = arrays[0].shape
+    lib = _compiled()
+    if lib is not None:
+        n0, n1 = ((1, 1) + shape[:-1])[-2:]
+        desc = []
+        for arr in arrays:
+            desc += (arr.ctypes.data, *((0, 0) + arr.strides[:-1])[-2:])
+        # named, so that these buffers outlive the call
+        desc = np.array(desc, dtype=np.int64)
+        tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
+        lib.pwadvect_block(n0, n1, shape[-1], coeffs.tcx, coeffs.tcy, tzc1.ctypes.data,
+                           tzc2.ctypes.data, desc.ctypes.data)
+        return
     slots = scratch.get(shape)
     if slots is None:
         slots = scratch[shape] = new_scratch(shape)
@@ -265,8 +442,9 @@ def grid_roles(fields: FieldSet, x0: int, x1: int, j0: int, j1: int) -> dict:
 
 
 # Cells per block of the blocked reference run: 65,536 cells is 512 KiB per
-# float64 temporary, so a block's operands and temporaries stay in L2
-# instead of streaming grid-sized temporaries through DRAM.
+# float64 temporary, so the numpy replay's operands and scratch slots stay
+# in L2 instead of streaming grid-sized temporaries through DRAM. (The
+# compiled kernel keeps its temporaries in registers.)
 BLOCK_CELLS = 1 << 16
 
 

@@ -1,4 +1,5 @@
-"""Layer microbenchmarks: kernel blocks, the blocked reference run, checksum.
+"""Layer microbenchmarks: kernel blocks (compiled and numpy replay), the
+blocked reference run, checksum.
 
 pyproject.toml sets --benchmark-disable, so in the normal suite each runs
 once as a plain test. Time them with:
@@ -31,6 +32,14 @@ def test_bench_compute_block_one_block(benchmark, case):
     benchmark(compute_block, coeffs, roles, out, {})
     assert out[0].size == kernel.BLOCK_CELLS
     assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
+
+
+@pytest.mark.usefixtures("numpy_replay")
+class TestNumpyReplay:
+    """The reference run's block again, on the numpy replay; the test above
+    times the compiled kernel when gcc is found."""
+
+    test_bench_compute_block_one_block = staticmethod(test_bench_compute_block_one_block)
 
 
 def test_bench_compute_block_x_reordered_block(benchmark, case):

@@ -226,3 +226,7 @@ def test_usage_errors_exit_2():
     # bench: invalid schedule specs
     assert run_cli("bench", "--grid", "4x4x4", "--engines", "0") == 2
     assert run_cli("bench", "--grid", "4x4x4", "--y-batch", "0") == 2
+    # an explicit y_batch above ny; only the default of 64 shrinks to fit
+    for schedule in ("ybatched", "xreordered"):
+        assert run_cli("bench", "--grid", "8x64x8", "--schedule", schedule,
+                       "--y-batch", "128") == 2

@@ -12,10 +12,7 @@ from pwadvect.grid import (
     checksum,
     fill_fields,
     lcg_doubles,
-    linear_index,
     make_grid,
-    read_field,
-    write_field,
 )
 from naive_oracle import naive_lcg_doubles
 
@@ -32,28 +29,6 @@ def test_make_grid_cell_counts():
 def test_make_grid_rejects(bad):
     with pytest.raises(GridError):
         make_grid(*bad)
-
-
-def test_linear_index_examples():
-    dims = make_grid(4, 4, 64)
-    assert linear_index(0, 0, 1, dims) == 0
-    assert linear_index(0, 0, 2, dims) == 1  # k-fastest adjacency
-    assert linear_index(0, 1, 1, dims) == 64
-
-
-def test_linear_index_bijection_exhaustive():
-    dims = make_grid(3, 2, 4)
-    seen = set()
-    for i in range(dims.nx + 2):
-        for j in range(dims.ny + 2):
-            for k in range(1, dims.nz + 1):
-                off = linear_index(i, j, k, dims)
-                assert 0 <= off < dims.padded_len
-                seen.add(off)
-    assert len(seen) == dims.padded_len
-    # and it matches C-order flat indexing of the storage array
-    arr = np.arange(dims.padded_len, dtype=np.float64).reshape(dims.padded_shape)
-    assert arr[2, 1, 3] == linear_index(2, 1, 4, dims)
 
 
 def test_uniform_fill_including_halos():
@@ -129,17 +104,6 @@ def test_checksum_golden():
     assert checksum(fs.u) == GOLDENS["fields"]["u"]
     assert checksum(fs.v) == GOLDENS["fields"]["v"]
     assert checksum(fs.w) == GOLDENS["fields"]["w"]
-
-
-def test_field_serialization_round_trip(tmp_path):
-    dims = make_grid(5, 4, 3)
-    fs = fill_fields(dims, GeneratorSpec.random(7))
-    path = tmp_path / "u.field"
-    write_field(fs.u, path)
-    back = read_field(path)
-    assert back.dims == dims
-    assert np.array_equal(back.data, fs.u.data)
-    assert path.stat().st_size == 24 + dims.padded_len * 8
 
 
 def test_field_shape_validation():

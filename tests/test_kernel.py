@@ -1,5 +1,11 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,9 +361,136 @@ def _count_scratch(monkeypatch):
     ((128, 128, 64), [(8, 128, 64)]),
     ((130, 128, 64), [(8, 128, 64), (2, 128, 64)]),  # ragged last block
 ])
-def test_reference_reuses_scratch(monkeypatch, grid, expected):
+def test_reference_reuses_scratch(monkeypatch, numpy_replay, grid, expected):
+    # only the numpy replay evaluates into scratch slots
     dims = make_grid(*grid)
     fields = fill_fields(dims, GeneratorSpec.uniform(1.0, 2.0, 3.0))
     shapes = _count_scratch(monkeypatch)
     run_reference(fields, default_coefficients(dims.nz))
     assert shapes == expected
+
+
+@pytest.mark.usefixtures("numpy_replay")
+class TestNumpyReplay:
+    """The bitwise tests above, again with compute_block pinned to the numpy
+    replay; at module level they run on the compiled kernel when gcc is found."""
+
+    test_replay_bitwise_equals_formulas = staticmethod(test_replay_bitwise_equals_formulas)
+    test_block_edges_bitwise_equal_to_oracle = staticmethod(
+        test_block_edges_bitwise_equal_to_oracle)
+    test_block_edges_reproduce_goldens = staticmethod(test_block_edges_reproduce_goldens)
+
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+
+
+@needs_gcc
+def test_first_use_compiles_once_with_exact_flags(monkeypatch, tmp_path):
+    # a cold cache in tmp_path; four threads make the first call together
+    monkeypatch.setattr(kernel, "_CACHE_DIR", tmp_path)
+    monkeypatch.setattr(kernel, "_lib", kernel._UNBUILT)
+    real_run, compiles = subprocess.run, []
+
+    def recording(cmd, **kwargs):
+        if "-shared" in cmd:
+            compiles.append(cmd)
+        return real_run(cmd, **kwargs)
+
+    monkeypatch.setattr(kernel.subprocess, "run", recording)
+    threads = [threading.Thread(target=kernel._compiled) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert kernel.evaluator() == "compiled"
+    assert len(compiles) == 1
+    flags = compiles[0][1:]
+    assert "-ffp-contract=off" in flags and "-O2" in flags
+    assert not {"-ffast-math", "-Ofast", "-O3", "-march=native"} & set(flags)
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]  # no temp file left
+    # with the state reset, the cached library loads without a compile
+    monkeypatch.setattr(kernel, "_lib", kernel._UNBUILT)
+    assert kernel.evaluator() == "compiled" and len(compiles) == 1
+
+
+def test_kernel_source_is_the_tapes():
+    # one C statement per tape step, and no arithmetic anywhere else
+    steps = sum(len(tape) for tape, _ in kernel._MID_TAPES + kernel._TOP_TAPES)
+    lines = kernel.kernel_source().splitlines()
+    arithmetic = [ln for ln in lines if any(f" {op} " in ln for op in "+-*")
+                  and not ln.lstrip().startswith(("#", "for", "const int64_t t"))]
+    assert len(arithmetic) == steps
+
+
+@pytest.mark.parametrize("cause", ["no compiler", "failed build"])
+def test_fallback_warns_once_and_stays_bitwise(monkeypatch, tmp_path, cause):
+    monkeypatch.setattr(kernel, "_lib", kernel._UNBUILT)
+    monkeypatch.setattr(kernel, "_CACHE_DIR", tmp_path)
+    if cause == "no compiler":
+        monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
+    else:
+        monkeypatch.setattr(kernel, "CFLAGS", (*kernel.CFLAGS, "-no-such-flag"))
+    dims = make_grid(5, 4, 6)
+    fields = fill_fields(dims, GeneratorSpec.random(31))
+    coeffs = random_coeffs(dims.nz)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = [run_reference(fields, coeffs) for _ in range(2)]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "numpy replay" in str(caught[0].message)
+    assert kernel.evaluator() == "numpy"
+    assert list(tmp_path.iterdir()) == []
+    oracle = naive_sources(fields, coeffs)
+    for ref in runs:
+        for x, y in ((ref.su, oracle.su), (ref.sv, oracle.sv), (ref.sw, oracle.sw)):
+            assert x.data.tobytes() == y.data.tobytes()
+
+
+def _bad_block(case):
+    """A 3x4 block of columns (nz = 5) with one defect, as (coeffs, roles, out)."""
+    nz = 5
+    roles = {role: np.ones((3, 4, nz)) for role in COMPUTE_ROLES}
+    out = [np.zeros((3, 4, nz)) for _ in range(3)]
+    coeffs = default_coefficients(nz)
+    if case == "role shape":
+        roles[("v", 0, 0)] = np.ones((3, 5, nz))
+    elif case == "role dtype":
+        roles[("w", 1, 0)] = np.ones((3, 4, nz), dtype=np.float32)
+    elif case == "role k-stride":
+        roles[("u", 0, 1)] = np.ones((3, 4, 2 * nz))[..., ::2]
+    elif case == "missing role":
+        del roles[("u", -1, 1)]
+    elif case == "coefficient nz":
+        coeffs = default_coefficients(nz + 1)
+    elif case == "read-only output":
+        out[1] = np.broadcast_to(np.zeros(nz), (3, 4, nz))
+    elif case == "output k-stride":
+        out[2] = np.zeros((3, 4, nz, 2))[..., 0]
+    elif case == "three leading axes":
+        roles = {role: np.ones((2, 3, 4, nz)) for role in COMPUTE_ROLES}
+    elif case == "not an array":
+        roles[("u", 0, 0)] = [[[1.0] * nz] * 4] * 3
+    return coeffs, roles, tuple(out)
+
+
+@pytest.mark.parametrize("case", ["role shape", "role dtype", "role k-stride", "missing role",
+                                  "coefficient nz", "read-only output", "output k-stride",
+                                  "three leading axes", "not an array"])
+def test_compute_block_rejects_bad_arrays(case):
+    coeffs, roles, out = _bad_block(case)
+    with pytest.raises(ValueError):
+        compute_block(coeffs, roles, out, {})
+    assert not any(o.any() for o in out if o.ndim == 3)
+
+
+def test_model_path_builds_no_kernel():
+    # `import pwadvect` and `validate` must neither compile nor load the kernel
+    code = ("import pwadvect\n"
+            "from pwadvect import cli, kernel\n"
+            "assert cli.main(['validate']) == 0\n"
+            "assert kernel._lib is kernel._UNBUILT\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr

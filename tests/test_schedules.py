@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwadvect import kernel, schedules
-from pwadvect.grid import GeneratorSpec, fill_fields, make_grid
+from pwadvect.grid import GeneratorSpec, fill_fields, make_grid, wrap_halos
 from pwadvect.kernel import AdvectionCoefficients, default_coefficients, run_reference
 from pwadvect.schedules import (
     VARIANTS,
@@ -83,7 +83,8 @@ def test_engine_count_independence():
 @pytest.mark.parametrize("variant,widths", [("column_buffered", {1}),
                                             ("y_batched", {4, 3}),
                                             ("x_reordered", {4, 3})])
-def test_slab_engines_reuse_scratch(monkeypatch, variant, widths):
+def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
+    # only the numpy replay evaluates into scratch slots
     # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab, so
     # one scratch per batch width and slab
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
@@ -225,6 +226,41 @@ def test_compare_outputs_signed_zero_and_dims_mismatch():
     c = run_reference(other, default_coefficients(3))
     with pytest.raises(ValueError):
         compare_outputs(a, c)
+
+
+def test_compare_outputs_nan_matches_any_nan():
+    dims, fields, coeffs = case(nx=3, ny=2, nz=4)
+    a = run_reference(fields, coeffs)
+    b = run_reference(fields, coeffs)
+    nan = np.float64(np.nan)
+    a.sw.data[2, 1, 3] = nan
+    b.sw.data[2, 1, 3] = -nan  # opposite sign, same position
+    assert np.signbit(a.sw.data[2, 1, 3]) != np.signbit(b.sw.data[2, 1, 3])
+    assert compare_outputs(a, b) == OutputComparison(True, 0.0, 0)
+    b.su.data[1, 2, 2] = np.nextafter(b.su.data[1, 2, 2], np.inf)
+    cmp = compare_outputs(a, b)
+    assert not cmp.bitwise_equal and cmp.max_ulp_diff == 1
+    # a NaN against a number is a difference
+    c = run_reference(fields, coeffs)
+    c.sv.data[1, 1, 1] = nan
+    assert not compare_outputs(a, c).bitwise_equal
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_schedules_equal_reference_on_nonfinite_inputs(numpy_replay):
+    # numpy's 1-column blocks pass on another NaN than the reference's
+    # blocks do; the positions agree, so the comparison must call them equal
+    dims, fields, coeffs = case(nx=6, ny=70, nz=8, seed=3)
+    rng = np.random.default_rng(0)
+    for f in (fields.u, fields.v, fields.w):
+        for value in (np.nan, -np.nan, np.inf, -np.inf):
+            f.interior[tuple(rng.integers(0, n, 40) for n in f.interior.shape)] = value
+        wrap_halos(f.data)
+    ref = run_reference(fields, coeffs)
+    for variant in VARIANTS:
+        for engines in (1, 3):
+            out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, 8, engines))
+            assert compare_outputs(ref, out).bitwise_equal, (variant, engines)
 
 
 def test_wall_time_reported():
