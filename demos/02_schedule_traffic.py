@@ -37,8 +37,8 @@ for variant in ("reference", "column_buffered", "y_batched", "x_reordered"):
 
 print("\nall variants bitwise-equal; su checksum:", checksum(reference.su))
 
-# Engine decomposition: disjoint X slabs, still bitwise identical, but the
-# x_reordered prefetch is paid once per slab so its reads grow with engines.
+# Engine decomposition: disjoint X slabs, still bitwise identical, but
+# x_reordered fetches two halo planes per slab, so its reads grow with engines.
 print("\nx_reordered external reads by engine count:")
 for engines in (1, 2, 4, 8):
     _, tc, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 16, engines))

@@ -127,7 +127,7 @@ class GeneratorSpec:
     """Deterministic field generation: same spec + dims => bit-identical fields.
 
     Modes: "uniform" (u=a, v=b, w=c everywhere), "trig" (smooth periodic
-    pattern), "random" (64-bit LCG stream, see lcg_doubles).
+    pattern), "random" (64-bit LCG stream, see lcg_fill).
     """
 
     mode: str = "uniform"
@@ -153,7 +153,7 @@ class GeneratorSpec:
         return cls("random", seed=seed)
 
 
-# Values generated per vectorised step of lcg_doubles.
+# Values generated per vectorised step of lcg_fill.
 _LCG_CHUNK = 1 << 16
 
 
@@ -171,27 +171,36 @@ def _lcg_jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return mult[:n], inc[:n]
 
 
-def lcg_doubles(seed: int, count: int) -> np.ndarray:
-    """`count` doubles in [0, 1) from the Knuth MMIX 64-bit LCG.
+def lcg_fill(seed: int, arrays) -> None:
+    """Fill C-contiguous float64 `arrays` in turn, each in index order, from
+    one stream of doubles in [0, 1) of the Knuth MMIX 64-bit LCG.
 
     state' = 6364136223846793005*state + 1442695040888963407 mod 2^64,
     value = (state' >> 11) * 2^-53. The first value uses one step from the
-    seed. Evaluated in chunks of _LCG_CHUNK values with precomputed jump
-    tables (uint64 arithmetic wraps mod 2^64), so large fields need neither
-    a Python-level loop per element nor a stream-sized integer array.
+    seed, and each array continues the stream where the previous one ended.
+    Evaluated in chunks of at most _LCG_CHUNK values with jump tables built
+    once per call (uint64 arithmetic wraps mod 2^64), so large fields need
+    neither a Python-level loop per element nor a stream-sized array.
     """
-    out = np.empty(count)
-    mult, inc = _lcg_jump_tables(min(count, _LCG_CHUNK))
+    flats = [a.reshape(-1) for a in arrays]
+    mult, inc = _lcg_jump_tables(min(max(a.size for a in flats), _LCG_CHUNK))
     state = np.empty_like(mult)
     s = seed & _LCG_MASK
-    for lo in range(0, count, _LCG_CHUNK):
-        n = min(_LCG_CHUNK, count - lo)
-        chunk = state[:n]
-        np.multiply(mult[:n], np.uint64(s), out=chunk)
-        np.add(chunk, inc[:n], out=chunk)
-        s = int(chunk[-1])
-        np.right_shift(chunk, np.uint64(11), out=chunk)
-        np.multiply(chunk, 2.0**-53, out=out[lo : lo + n])
+    for flat in flats:
+        for lo in range(0, flat.size, _LCG_CHUNK):
+            n = min(_LCG_CHUNK, flat.size - lo)
+            chunk = state[:n]
+            np.multiply(mult[:n], np.uint64(s), out=chunk)
+            np.add(chunk, inc[:n], out=chunk)
+            s = int(chunk[-1])
+            np.right_shift(chunk, np.uint64(11), out=chunk)
+            np.multiply(chunk, 2.0**-53, out=flat[lo : lo + n])
+
+
+def lcg_doubles(seed: int, count: int) -> np.ndarray:
+    """The first `count` values of lcg_fill's stream from `seed`."""
+    out = np.empty(count)
+    lcg_fill(seed, [out])
     return out
 
 
@@ -225,10 +234,8 @@ def fill_fields(dims: GridDims, spec: GeneratorSpec) -> FieldSet:
         for arr, interior in zip(fields, _trig_interior(dims)):
             arr[1:-1, 1:-1, :] = interior
     else:  # one LCG stream: u interior, then v, then w, in layout order
-        vals = lcg_doubles(spec.seed, 3 * dims.cells)
-        shape = (dims.nx, dims.ny, dims.nz)
-        for n, arr in enumerate(fields):
-            arr[1:-1, 1:-1, :] = vals[n * dims.cells : (n + 1) * dims.cells].reshape(shape)
+        # each interior X plane arr[i, 1:-1, :] is contiguous
+        lcg_fill(spec.seed, [plane for arr in fields for plane in arr[1:-1, 1:-1, :]])
     for arr in fields:
         wrap_halos(arr)
     return FieldSet(*(Field3D(dims, arr) for arr in fields))

@@ -28,29 +28,6 @@ from .kernel import (
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
 
 
-def _xshift_closure(compute_roles):
-    """Extend per-field role sets so every dx<=0 role has a dx+1 parent."""
-    roles = set(compute_roles)
-    grown = True
-    while grown:
-        grown = False
-        for f, dx, dy in sorted(roles):
-            if dx <= 0 and (f, dx + 1, dy) not in roles:
-                roles.add((f, dx + 1, dy))
-                grown = True
-    return tuple(sorted(roles))
-
-
-# 22 scratch blocks for the X-reordered schedule: the 17 compute roles plus
-# the dx=+1 parents needed to feed the plane shift.
-XSHIFT_ROLES = _xshift_closure(COMPUTE_ROLES)
-_SHIFT_PAIRS = tuple(
-    (role, (role[0], role[1] + 1, role[2]))
-    for role in XSHIFT_ROLES if role[1] <= 0
-)
-_FETCH_ROLES = tuple(role for role in XSHIFT_ROLES if role[1] == 1)
-
-
 @dataclass(frozen=True)
 class Slab:
     """One engine's interior X range, 1-based, begin inclusive, end exclusive."""
@@ -160,7 +137,7 @@ def _run_buffered_slab(fields, coeffs, out, slab, spec, tc, batch):
 
 
 def _run_x_reordered_slab(fields, coeffs, out, slab, spec, tc):
-    """X loop inside the Y batch; only the i+1 planes are fetched per X step."""
+    """X loop inside the Y batch: a 3-plane ring per field, one new plane per X step."""
     dims = fields.dims
     nz, ny = dims.nz, dims.ny
     arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
@@ -168,30 +145,22 @@ def _run_x_reordered_slab(fields, coeffs, out, slab, spec, tc):
     scratch = {}
     for j0 in range(1, ny + 1, spec.y_batch):
         bw = min(spec.y_batch, ny + 1 - j0)
-        buf = {role: np.empty((bw, nz)) for role in XSHIFT_ROLES}
-        tc.scratch_bytes_peak = max(tc.scratch_bytes_peak,
-                                    len(XSHIFT_ROLES) * bw * nz * 8)
-
-        def fetch(role, i):
-            f, dx, dy = role
-            np.copyto(buf[role], arrs[f][i + dx, j0 + dy : j0 + dy + bw, :])
-            tc.external_reads += bw * nz
-            tc.local_writes += bw * nz
-
-        for role in XSHIFT_ROLES:
-            fetch(role, slab.x_begin)
-        for i in range(slab.x_begin, slab.x_end):
+        # slot i % 3 of a field's ring holds rows j0-1 .. j0+bw of X plane i
+        rings = {f: np.empty((3, bw + 2, nz)) for f in arrs}
+        tc.scratch_bytes_peak = max(tc.scratch_bytes_peak, 9 * (bw + 2) * nz * 8)
+        roles_at = [{(f, dx, dy): rings[f][(r + dx) % 3, 1 + dy : 1 + dy + bw]
+                     for f, dx, dy in COMPUTE_ROLES} for r in range(3)]
+        for i in range(slab.x_begin - 1, slab.x_end + 1):
+            for f, ring in rings.items():
+                np.copyto(ring[i % 3], arrs[f][i, j0 - 1 : j0 + bw + 1])
+            # the ring now holds planes i-2 .. i, the X window of plane i-1
             if i > slab.x_begin:
-                # dx=-1 targets first (they read dx=0), then dx=0 <- dx=+1
-                for dst, src in _SHIFT_PAIRS:
-                    np.copyto(buf[dst], buf[src])
-                    tc.local_reads += bw * nz
-                    tc.local_writes += bw * nz
-                for role in _FETCH_ROLES:
-                    fetch(role, i)
-            compute_block(coeffs, buf, _out_rows(out, i, j0, bw), scratch)
-            tc.local_reads += bw * col_reads
-            _count_writes(tc, bw, nz)
+                compute_block(coeffs, roles_at[(i - 1) % 3],
+                              _out_rows(out, i - 1, j0, bw), scratch)
+        tc.external_reads += 3 * (slab.width + 2) * (bw + 2) * nz
+        tc.local_writes += 3 * (slab.width + 2) * (bw + 2) * nz
+        tc.local_reads += slab.width * bw * col_reads
+        _count_writes(tc, slab.width * bw, nz)
 
 
 def _run_slab(fields, coeffs, out, slab, spec) -> TrafficReport:

@@ -43,10 +43,12 @@ class TestNumpyReplay:
 
 
 def test_bench_compute_block_x_reordered_block(benchmark, case):
-    # the x_reordered schedule's block: one contiguous (y_batch, nz) buffer
-    # per role, y_batch = 64
+    # the x_reordered schedule's block, y_batch = 64: the roles are views
+    # into one (3, 66, nz) ring of X planes 0..2 per field, as at plane 1
     dims, fields, coeffs = case
-    roles = {role: view[0].copy() for role, view in grid_roles(fields, 1, 2, 1, 65).items()}
+    rings = {f: getattr(fields, f).data[0:3, 0:66].copy() for f in "uvw"}
+    roles = {(f, dx, dy): rings[f][1 + dx, 1 + dy : 65 + dy]
+             for f, dx, dy in kernel.COMPUTE_ROLES}
     out = tuple(np.zeros((64, dims.nz)) for _ in range(3))
     benchmark(compute_block, coeffs, roles, out, {})
     assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)

@@ -104,7 +104,7 @@ def test_bench_traffic_report_in_output(tmp_path):
     assert code == 0
     rows = json.loads(out.read_text())
     assert rows[0]["engines"] == 4
-    assert rows[0]["scratch_bytes_peak"] == 22 * 8 * 4 * 8
+    assert rows[0]["scratch_bytes_peak"] == 9 * (8 + 2) * 4 * 8  # three 3-plane rings
 
 
 def test_bench_rejects_bad_schedule():

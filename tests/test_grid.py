@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,24 @@ def test_lcg_matches_documented_recurrence():
                         (9, 65_537), (2**64 - 1, 3 * 65_536 + 7)):
         assert np.array_equal(lcg_doubles(seed, count), naive_lcg_doubles(seed, count))
     assert lcg_doubles(1, 0).size == 0
+
+
+def test_random_fill_streams_into_planes_with_bounded_peak():
+    # 1,100 x 64 values per X plane: chunk edges fall inside planes
+    dims = make_grid(3, 1100, 64)
+    fields = fill_fields(dims, GeneratorSpec.random(5))
+    stream = lcg_doubles(5, 3 * dims.cells).reshape(3, dims.nx, dims.ny, dims.nz)
+    for n, f in enumerate((fields.u, fields.v, fields.w)):
+        assert np.array_equal(f.interior, stream[n])
+    # set-up holds the fields and one chunk, not a copy of the stream
+    dims = make_grid(128, 128, 64)
+    tracemalloc.start()
+    try:
+        fill_fields(dims, GeneratorSpec.random(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 3 * dims.padded_len * 8
 
 
 def test_checksum_equality_and_bit_sensitivity():
