@@ -3,9 +3,9 @@
 The three tendency formulas (docs/model-notes.md section 2) are written once,
 as `su_formula` / `sv_formula` / `sw_formula`, over plain operands. Scalar
 point evaluation calls them directly; the operation census counts the tapes
-recorded from them at import, and `compute_block` (the blocked reference
-kernel and every execution schedule) runs those tapes, as C generated from
-them or, without a compiler, replayed in numpy. That is what makes their
+recorded from them at import, and `compute_block` (the reference run and
+every execution schedule) runs those tapes, as C generated from them or,
+without a compiler, replayed in numpy. That is what makes their
 results bit-identical: the per-element operation sequence is fixed here
 (X term, + Y term, + Z term, inner parenthesisation as written) and nowhere
 else.
@@ -235,11 +235,15 @@ def new_scratch(shape) -> tuple[list, list]:
 # The compiled kernel: kernel_source() emits the tapes as C, so the C has no
 # formula of its own, and gcc builds it on first use, never at import.
 # Contraction stays off because a fused multiply-add rounds once where the
-# tape rounds twice. The library is cached under .bench_build/ by a hash of
-# the source, the flags and the compiler version. Without a working gcc,
-# compute_block replays the tapes in numpy.
+# tape rounds twice. `omp simd` vectorises the mid-level k loop (each lane
+# runs the same operations in the same order, so results stay bitwise); on
+# x86-64 the loader picks an AVX-512, AVX2 or SSE2 clone, so one library
+# serves every CPU and no -march flag enters the cache key. The library is
+# cached under .bench_build/ by a hash of the source, the flags and the
+# compiler version. Without a working gcc, compute_block replays the tapes
+# in numpy.
 
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+CFLAGS = ("-O2", "-ffp-contract=off", "-fopenmp-simd", "-fPIC", "-shared")
 _C_OPS = {np.add: "+", np.subtract: "-", np.multiply: "*"}
 _CACHE_DIR = Path(__file__).resolve().parents[2] / ".bench_build"
 _UNBUILT = object()
@@ -270,7 +274,7 @@ def kernel_source() -> str:
                for n, (f, dx, dy) in enumerate(COMPUTE_ROLES)]
     columns += [f"double *o{q} = COLUMN({len(COMPUTE_ROLES) + q});  /* {name} */"
                 for q, name in enumerate(("su", "sv", "sw"))]
-    columns.append(f"double {', '.join(f's{n}' for n in range(1, _NSLOTS + 1))};")
+    slots = f"double {', '.join(f's{n}' for n in range(1, _NSLOTS + 1))};"
     mid = _c_level(_MID_TAPES, "k", {-1: "k - 1", 0: "k", 1: "k + 1"})
     # the top tapes never read the k+1 operands; level t stands in for them
     top = _c_level(_TOP_TAPES, "t", {-1: "t - 1", 0: "t", 1: "t"})
@@ -285,6 +289,9 @@ def kernel_source() -> str:
         "#define COLUMN(n) ((double *)((char *)(intptr_t)desc[3 * (n)]"
         " + a * desc[3 * (n) + 1] + b * desc[3 * (n) + 2]))",
         "",
+        "#if defined(__x86_64__)",
+        '__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))',
+        "#endif",
         "void pwadvect_block(int64_t n0, int64_t n1, int64_t nz, double tcx, double tcy,",
         "                    const double *tzc1, const double *tzc2, const int64_t *desc)",
         "{",
@@ -292,10 +299,11 @@ def kernel_source() -> str:
         "    for (int64_t a = 0; a < n0; a++) {",
         "        for (int64_t b = 0; b < n1; b++) {",
         *indent(columns, 3),
+        "            #pragma omp simd",
         "            for (int64_t k = 1; k < t; k++) {",
-        *indent(mid, 4),
+        *indent([slots, *mid], 4),
         "            }",
-        *indent(top, 3),
+        *indent([slots, *top], 3),
         "        }",
         "    }",
         "}",
@@ -333,6 +341,11 @@ def _build():
         warnings.warn(f"pwadvect: building the C kernel failed ({detail.strip()}); "
                       "compute_block uses the slower numpy replay", RuntimeWarning)
         return None
+    return _declare(lib)
+
+
+def _declare(lib):
+    """`lib` with the argument and result types of pwadvect_block declared."""
     lib.pwadvect_block.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                                    ctypes.c_double, ctypes.c_double,
                                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
@@ -381,6 +394,13 @@ def _checked_arrays(coeffs: AdvectionCoefficients, roles: dict, out) -> list:
     return arrays
 
 
+# Cells per block of the numpy replay: 65,536 cells is 512 KiB per float64
+# temporary, so the replay's operands and scratch slots stay in L2 instead
+# of streaming grid-sized temporaries through DRAM. The compiled kernel
+# keeps its temporaries in registers and takes any block whole.
+BLOCK_CELLS = 1 << 16
+
+
 def compute_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:
     """Evaluate su/sv/sw for columns given their role arrays, into `out`.
 
@@ -388,11 +408,14 @@ def compute_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict
     (..., nz), with a common leading shape of at most two axes and unit
     stride along k. `out` is (su, sv, sw), writeable arrays of that shape;
     levels k >= 2 are written and level k = 1 is left as it is. A bad role
-    or output raises ValueError. The compiled kernel reads the arrays in
-    place; the numpy replay (no compiler) evaluates into scratch slots
-    kept in `scratch`, a dict the caller owns and passes to every call, one
-    `new_scratch` per role shape, so callers running concurrently need one
-    each.
+    or output raises ValueError. No output may overlap a role or another
+    output: the compiled kernel runs the k loop in SIMD lanes on that
+    promise, and it is not checked (every caller writes into a SourceSet
+    of its own). The compiled kernel takes the arrays whole and reads them
+    in place; the numpy replay (no compiler) evaluates blocks of at most
+    BLOCK_CELLS cells into scratch slots kept in `scratch`, a dict the
+    caller owns and passes to every call, one `new_scratch` per block
+    shape, so callers running concurrently need one each.
     """
     arrays = _checked_arrays(coeffs, roles, out)
     shape = arrays[0].shape
@@ -408,6 +431,22 @@ def compute_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict
         lib.pwadvect_block(n0, n1, shape[-1], coeffs.tcx, coeffs.tcy, tzc1.ctypes.data,
                            tzc2.ctypes.data, desc.ctypes.data)
         return
+    # the numpy replay, one block of at most BLOCK_CELLS cells at a time
+    *lead, nz = shape
+    n0, n1 = ([1, 1] + lead)[-2:]
+    planes = max(1, BLOCK_CELLS // (n1 * nz))
+    rows = min(n1, max(1, BLOCK_CELLS // nz))
+    for i0 in range(0, n0, planes):
+        for j0 in range(0, n1, rows):
+            # index only the leading axes the arrays have
+            block = (slice(i0, i0 + planes), slice(j0, j0 + rows))[2 - len(lead):]
+            views = [arr[block] for arr in arrays]
+            _replay_block(coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:], scratch)
+
+
+def _replay_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:
+    """Replay the tapes over one block, into scratch slots kept per block shape."""
+    shape = out[0].shape
     slots = scratch.get(shape)
     if slots is None:
         slots = scratch[shape] = new_scratch(shape)
@@ -441,42 +480,21 @@ def grid_roles(fields: FieldSet, x0: int, x1: int, j0: int, j1: int) -> dict:
     }
 
 
-# Cells per block of the blocked reference run: 65,536 cells is 512 KiB per
-# float64 temporary, so the numpy replay's operands and scratch slots stay
-# in L2 instead of streaming grid-sized temporaries through DRAM. (The
-# compiled kernel keeps its temporaries in registers.)
-BLOCK_CELLS = 1 << 16
-
-
-def run_blocks(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
-               x0: int, x1: int) -> None:
-    """Evaluate interior columns i in [x0, x1) into `out`, one block at a time.
-
-    Blocks are whole X planes, as many as fit in BLOCK_CELLS; a plane larger
-    than that is split in Y. Every element is still computed by
-    `compute_block` in the canonical order, so the result is independent of
-    the block shape; the blocks share one scratch per block shape.
-    """
-    ny, nz = fields.dims.ny, fields.dims.nz
-    planes = max(1, BLOCK_CELLS // (ny * nz))
-    rows = min(ny, max(1, BLOCK_CELLS // nz))
-    scratch = {}
-    for i0 in range(x0, x1, planes):
-        i1 = min(i0 + planes, x1)
-        for j0 in range(1, ny + 1, rows):
-            j1 = min(j0 + rows, ny + 1)
-            compute_block(coeffs, grid_roles(fields, i0, i1, j0, j1),
-                          tuple(f.data[i0:i1, j0:j1] for f in (out.su, out.sv, out.sw)),
-                          scratch)
+def run_slab(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
+             x0: int, x1: int) -> None:
+    """Evaluate interior columns i in [x0, x1) into `out`, in one compute_block call."""
+    ny = fields.dims.ny
+    compute_block(coeffs, grid_roles(fields, x0, x1, 1, ny + 1),
+                  tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)), {})
 
 
 def run_reference(fields: FieldSet, coeffs: AdvectionCoefficients) -> SourceSet:
-    """Blocked reference execution over the whole grid; pure function of its inputs."""
+    """Reference execution over the whole grid; pure function of its inputs."""
     dims = fields.dims
     if coeffs.nz != dims.nz:
         raise ValueError(f"coefficient length {coeffs.nz} != nz {dims.nz}")
     out = zeros_sources(dims)
-    run_blocks(fields, coeffs, out, 1, dims.nx + 1)
+    run_slab(fields, coeffs, out, 1, dims.nx + 1)
     return out
 
 

@@ -22,7 +22,7 @@ from .kernel import (
     AdvectionCoefficients,
     compute_block,
     reads_per_point,
-    run_blocks,
+    run_slab,
 )
 
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
@@ -108,7 +108,7 @@ def _count_writes(tc: TrafficReport, columns: int, nz: int):
 
 def _run_reference_slab(fields, coeffs, out, slab, spec, tc):
     dims = fields.dims
-    run_blocks(fields, coeffs, out, slab.x_begin, slab.x_end)
+    run_slab(fields, coeffs, out, slab.x_begin, slab.x_end)
     tc.external_reads += slab.width * dims.ny * _column_reads(dims.nz)
     _count_writes(tc, slab.width * dims.ny, dims.nz)
 

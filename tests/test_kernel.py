@@ -1,5 +1,8 @@
+import ctypes
 import json
 import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -207,20 +210,28 @@ def test_nz2_grid_only_top_branch():
 
 
 def _block_shapes(monkeypatch, block_cells):
-    """Shrink the block constant; return the list of (planes, rows) evaluated."""
+    """Shrink the block constant; return the (planes, rows) of every
+    compute_block call and of every block the numpy replay evaluates."""
     monkeypatch.setattr(kernel, "BLOCK_CELLS", block_cells)
-    shapes = []
-    real = kernel.compute_block
+    calls, blocks = [], []
 
-    def recording(coeffs, roles, out, scratch):
-        shapes.append(roles[("u", 0, 0)].shape[:2])
-        return real(coeffs, roles, out, scratch)
+    def recorder(real, shapes):
+        def recording(coeffs, roles, out, scratch):
+            shapes.append(roles[("u", 0, 0)].shape[:2])
+            return real(coeffs, roles, out, scratch)
+        return recording
 
-    monkeypatch.setattr(kernel, "compute_block", recording)
-    return shapes
+    monkeypatch.setattr(kernel, "compute_block", recorder(kernel.compute_block, calls))
+    monkeypatch.setattr(kernel, "_replay_block", recorder(kernel._replay_block, blocks))
+    return calls, blocks
 
 
-# (grid, block cells, expected block shapes): ragged X blocks of whole planes,
+def _replay_blocks(expected):
+    # the compiled kernel takes every call whole and makes no blocks
+    return expected if kernel.evaluator() == "numpy" else []
+
+
+# (grid, block cells, replay block shapes): ragged X blocks of whole planes,
 # ragged Y blocks of a plane larger than a block, single columns, nz = 2
 BLOCK_CASES = [
     ((7, 5, 6), 60, [(2, 5)] * 3 + [(1, 5)]),
@@ -235,9 +246,10 @@ def test_block_edges_bitwise_equal_to_oracle(monkeypatch, grid, block_cells, exp
     dims = make_grid(*grid)
     fields = fill_fields(dims, GeneratorSpec.random(17))
     coeffs = random_coeffs(dims.nz)
-    shapes = _block_shapes(monkeypatch, block_cells)
+    calls, blocks = _block_shapes(monkeypatch, block_cells)
     ref = run_reference(fields, coeffs)
-    assert shapes == expected
+    assert calls == [grid[:2]]
+    assert blocks == _replay_blocks(expected)
     oracle = naive_sources(fields, coeffs)
     for x, y in ((ref.su, oracle.su), (ref.sv, oracle.sv), (ref.sw, oracle.sw)):
         assert x.data.tobytes() == y.data.tobytes()
@@ -248,24 +260,27 @@ def test_block_edges_bitwise_equal_to_oracle(monkeypatch, grid, block_cells, exp
 def test_block_edges_reproduce_goldens(monkeypatch, block_cells, expected):
     dims = make_grid(8, 8, 8)
     fields = fill_fields(dims, GeneratorSpec.random(42))
-    shapes = _block_shapes(monkeypatch, block_cells)
+    calls, blocks = _block_shapes(monkeypatch, block_cells)
     src = run_reference(fields, default_coefficients(dims.nz))
-    assert shapes == expected
+    assert calls == [(8, 8)]
+    assert blocks == _replay_blocks(expected)
     for name, f in (("su", src.su), ("sv", src.sv), ("sw", src.sw)):
         assert checksum(f) == GOLDENS["sources"][name]
 
 
 def test_reference_schedule_blocks_each_slab(monkeypatch):
-    # nx = 10 over 3 engines gives slabs of 4, 3, 3 columns; 2-plane blocks
-    # leave a ragged last block in two of them
+    # nx = 10 over 3 engines gives slabs of 4, 3, 3 columns, one compute_block
+    # call each; the replay's 2-plane blocks leave a ragged last block in two
     dims = make_grid(10, 4, 5)
     fields = fill_fields(dims, GeneratorSpec.random(23))
     coeffs = random_coeffs(dims.nz)
-    shapes = _block_shapes(monkeypatch, 2 * 4 * 5)
+    calls, blocks = _block_shapes(monkeypatch, 2 * 4 * 5)
     ref = run_reference(fields, coeffs)
-    shapes.clear()
+    calls.clear()
+    blocks.clear()
     out, tc, _ = run_schedule(fields, coeffs, ScheduleSpec("reference", engines=3))
-    assert sorted(shapes) == sorted([(2, 4)] * 4 + [(1, 4)] * 2)
+    assert sorted(calls) == [(3, 4), (3, 4), (4, 4)]
+    assert sorted(blocks) == sorted(_replay_blocks([(2, 4)] * 4 + [(1, 4)] * 2))
     assert compare_outputs(ref, out).bitwise_equal
     assert tc.external_reads == dims.nx * dims.ny * (54 * (dims.nz - 2) + 45)
     assert tc.external_writes == 3 * dims.nx * dims.ny * (dims.nz - 1)
@@ -295,7 +310,8 @@ SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1.797693134862
 
 @st.composite
 def replay_cases(draw):
-    nz = draw(st.sampled_from((2, 3, 8)))
+    # 19 and 37: nz - 2 mid levels fill two or four 8-lane vectors and a remainder
+    nz = draw(st.sampled_from((2, 3, 8, 19, 37)))
     lead = draw(st.sampled_from(((), (1,), (3, 5))))
     values = st.floats(width=64) | st.sampled_from(SPECIAL)
     roles = {role: draw(hnp.arrays(np.float64, (*lead, nz), elements=values))
@@ -372,13 +388,16 @@ def test_reference_reuses_scratch(monkeypatch, numpy_replay, grid, expected):
 
 @pytest.mark.usefixtures("numpy_replay")
 class TestNumpyReplay:
-    """The bitwise tests above, again with compute_block pinned to the numpy
-    replay; at module level they run on the compiled kernel when gcc is found."""
+    """The bitwise and block tests above, again with compute_block pinned to
+    the numpy replay; at module level they run on the compiled kernel when gcc
+    is found."""
 
     test_replay_bitwise_equals_formulas = staticmethod(test_replay_bitwise_equals_formulas)
     test_block_edges_bitwise_equal_to_oracle = staticmethod(
         test_block_edges_bitwise_equal_to_oracle)
     test_block_edges_reproduce_goldens = staticmethod(test_block_edges_reproduce_goldens)
+    test_reference_schedule_blocks_each_slab = staticmethod(
+        test_reference_schedule_blocks_each_slab)
 
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
@@ -421,6 +440,62 @@ def test_kernel_source_is_the_tapes():
     arithmetic = [ln for ln in lines if any(f" {op} " in ln for op in "+-*")
                   and not ln.lstrip().startswith(("#", "for", "const int64_t t"))]
     assert len(arithmetic) == steps
+
+
+def _compile(source: str, flags, path: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(["gcc", *flags, "-x", "c", "-", "-o", str(path)],
+                          input=source, capture_output=True, text=True, check=True)
+
+
+@needs_gcc
+def test_k_loop_is_vectorised(tmp_path):
+    source = kernel.kernel_source()
+    lines = source.splitlines()
+    first = next(n for n, ln in enumerate(lines, 1) if ln.lstrip().startswith("for (int64_t k"))
+    depth = len(lines[first - 1]) - len(lines[first - 1].lstrip())
+    last = next(n for n in range(first + 1, len(lines) + 1)
+                if len(lines[n - 1]) - len(lines[n - 1].lstrip()) <= depth)
+    done = _compile(source, [*kernel.CFLAGS, "-fopt-info-vec-optimized"], tmp_path / "k.so")
+    vectorised = [int(n) for n in re.findall(r":(\d+):\d+: optimized: loop vectorized",
+                                               done.stderr)]
+    assert any(first <= n <= last for n in vectorised), done.stderr
+
+
+def _special_block(rng, nz):
+    """Coefficients and a 3x5 block of role columns, a fifth of the values SPECIAL."""
+    shape = (3, 5, nz)
+    roles = {}
+    for role in COMPUTE_ROLES:
+        wide = rng.standard_normal(shape) * np.exp2(rng.integers(-1074, 1000, shape))
+        roles[role] = np.where(rng.random(shape) < 0.2, rng.choice(SPECIAL, shape), wide)
+    return random_coeffs(nz, seed=int(rng.integers(1 << 30))), roles
+
+
+@needs_gcc
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the clones are x86-64 only")
+@pytest.mark.parametrize("level", ["x86-64", "x86-64-v3", "x86-64-v4"])
+def test_each_clone_bitwise_equals_replay(monkeypatch, tmp_path, level):
+    # the loader runs only the best clone the CPU has, so build each one alone
+    probe = ('int runs(void) { __builtin_cpu_init(); '
+             f'return __builtin_cpu_supports("{level}") != 0; }}')
+    _compile(probe, ["-fPIC", "-shared"], tmp_path / "probe.so")
+    if not ctypes.CDLL(str(tmp_path / "probe.so")).runs():
+        pytest.skip(f"the CPU cannot run {level}")
+    source = "\n".join(ln for ln in kernel.kernel_source().splitlines()
+                       if "target_clones" not in ln)
+    _compile(source, [*kernel.CFLAGS, f"-march={level}"], tmp_path / "clone.so")
+    clone = kernel._declare(ctypes.CDLL(str(tmp_path / "clone.so")))
+    rng = np.random.default_rng(8)
+    for nz in (2, 3, 8, 19, 37):
+        coeffs, roles = _special_block(rng, nz)
+        outs = []
+        for lib in (clone, None):  # None: the numpy replay
+            monkeypatch.setattr(kernel, "_lib", lib)
+            out = tuple(np.full((3, 5, nz), -1.25e-300) for _ in range(3))
+            with np.errstate(all="ignore"):
+                compute_block(coeffs, roles, out, {})
+            outs.append(out)
+        assert all(_same_bits(a, b) for a, b in zip(*outs))
 
 
 @pytest.mark.parametrize("cause", ["no compiler", "failed build"])
