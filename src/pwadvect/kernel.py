@@ -238,7 +238,9 @@ def new_scratch(shape) -> tuple[list, list]:
 # tape rounds twice. `omp simd` vectorises the mid-level k loop (each lane
 # runs the same operations in the same order, so results stay bitwise); on
 # x86-64 the loader picks an AVX-512, AVX2 or SSE2 clone, so one library
-# serves every CPU and no -march flag enters the cache key. The library is
+# serves every CPU and no -march flag enters the cache key. The clones need
+# gcc >= 12 (ISA levels in target_clones) and glibc (ifunc); elsewhere the
+# source builds one plain body, still vectorised by the pragma. The library is
 # cached under .bench_build/ by a hash of the source, the flags and the
 # compiler version. Without a working gcc, compute_block replays the tapes
 # in numpy.
@@ -289,7 +291,8 @@ def kernel_source() -> str:
         "#define COLUMN(n) ((double *)((char *)(intptr_t)desc[3 * (n)]"
         " + a * desc[3 * (n) + 1] + b * desc[3 * (n) + 2]))",
         "",
-        "#if defined(__x86_64__)",
+        "#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) \\",
+        "    && __GNUC__ >= 12",
         '__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))',
         "#endif",
         "void pwadvect_block(int64_t n0, int64_t n1, int64_t nz, double tcx, double tcy,",

@@ -31,6 +31,7 @@ def test_bench_compute_block_one_block(benchmark, case):
     planes = dims.nx
     if kernel.evaluator() == "numpy":
         planes = kernel.BLOCK_CELLS // (dims.ny * dims.nz)
+        assert planes * dims.ny * dims.nz == kernel.BLOCK_CELLS
     roles = grid_roles(fields, 1, 1 + planes, 1, dims.ny + 1)
     out = tuple(np.zeros((planes, dims.ny, dims.nz)) for _ in range(3))
     benchmark(compute_block, coeffs, roles, out, {})

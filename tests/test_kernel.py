@@ -478,7 +478,10 @@ def test_each_clone_bitwise_equals_replay(monkeypatch, tmp_path, level):
     # the loader runs only the best clone the CPU has, so build each one alone
     probe = ('int runs(void) { __builtin_cpu_init(); '
              f'return __builtin_cpu_supports("{level}") != 0; }}')
-    _compile(probe, ["-fPIC", "-shared"], tmp_path / "probe.so")
+    try:
+        _compile(probe, ["-fPIC", "-shared"], tmp_path / "probe.so")
+    except subprocess.CalledProcessError as exc:
+        pytest.skip(f"gcc cannot probe for {level}: {exc.stderr.strip()}")
     if not ctypes.CDLL(str(tmp_path / "probe.so")).runs():
         pytest.skip(f"the CPU cannot run {level}")
     source = "\n".join(ln for ln in kernel.kernel_source().splitlines()
