@@ -25,7 +25,6 @@ from .kernel import (
     advect_point_v,
     advect_point_w,
     default_coefficients,
-    flops,
     operation_census,
     run_reference,
 )

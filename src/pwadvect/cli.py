@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataflow import calibrate, kernel_time, pipeline_cycles, pipeline_latency
-from .grid import GeneratorSpec, checksum, fill_fields, make_grid
+from .grid import GeneratorSpec, check_config, checksum, fill_fields, make_grid
 from .kernel import default_coefficients, evaluator
 from .params import ModelParams, ParamError, dump_params, load_params
 from .refdata import (
@@ -109,8 +109,7 @@ def _load(args, parser) -> ModelParams:
 
 @contextmanager
 def _usage_errors(parser):
-    """Report a ValueError or OverflowError from a configuration check (cell
-    count, engine count, y_batch > ny) as a usage error, exit 2."""
+    """Report a ValueError or OverflowError from a configuration check as exit 2."""
     try:
         yield
     except (ValueError, OverflowError) as exc:
@@ -225,7 +224,9 @@ def cmd_calibrate(args, parser) -> int:
             raw = json.loads(Path(args.obs).read_text())
             observations = [(_parse_grid(o["grid"]), int(o["engines"]), float(o["seconds"]))
                             for o in raw]
-        except (OSError, ValueError, KeyError) as exc:
+            for dims, engines, _ in observations:
+                check_config(dims, engines, p.y_batch)
+        except (OSError, ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
             parser.error(f"bad observations file {args.obs}: {exc}")
     else:
         observations = _builtin_observations(p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridDims
+from .grid import GridDims, check_config
 from .kernel import FlopProfile
 
 
@@ -83,8 +83,7 @@ def kernel_compute_cycles(dims: GridDims, spec: PipelineSpec, y_batch: int) -> i
     Nominal accounting: every batch is charged at the full y_batch*nz element
     count (the functional kernel's inner trip count is nz-1; see notes).
     """
-    if y_batch > dims.ny:
-        raise ValueError(f"y_batch={y_batch} exceeds ny={dims.ny}")
+    check_config(dims, 1, y_batch)
     runs = dims.nx * math.ceil(dims.ny / y_batch)
     return runs * pipeline_cycles(spec, y_batch * dims.nz).total_cycles
 
@@ -114,8 +113,9 @@ def kernel_time(dims: GridDims, spec: PipelineSpec, mem: MemoryModel,
     the reported time is the slowest engine: widest X slab, most crowded
     controller group.
     """
-    if engines < 1 or controllers < 1:
-        raise ValueError("engines and controllers must be >= 1")
+    check_config(dims, engines, y_batch)
+    if controllers < 1:
+        raise ValueError("controllers must be >= 1")
     share = _engine_share(dims, engines)
     group = math.ceil(engines / controllers)
     compute = kernel_compute_cycles(share, spec, y_batch) / spec.clock_hz
@@ -151,6 +151,7 @@ def calibrate(observations, spec: PipelineSpec, y_batch: int,
         raise ValueError("need at least two observations")
     rows, rhs = [], []
     for dims, engines, seconds in obs:
+        check_config(dims, engines, y_batch)
         share = _engine_share(dims, engines)
         group = math.ceil(engines / controllers)
         mem_seconds = seconds - kernel_compute_cycles(share, spec, y_batch) / spec.clock_hz

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HALO = 1
-
 # Knuth MMIX multiplicative congruential generator, 64-bit state.
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -32,7 +30,6 @@ class GridDims:
     nx: int
     ny: int
     nz: int
-    halo: int = HALO
 
     @property
     def cells(self) -> int:
@@ -54,6 +51,20 @@ def make_grid(nx: int, ny: int, nz: int) -> GridDims:
     if nz < 2:
         raise GridError(f"nz must be >= 2 (column stencil starts at k=2), got {nz}")
     return GridDims(nx, ny, nz)
+
+
+def check_config(dims: GridDims, engines: int, y_batch: int, batched: bool = True) -> None:
+    """The legality rule of the schedules and the model; raises ValueError.
+
+    Every engine owns at least one X column, and a Y batch holds 1..ny rows
+    (any count >= 1 when `batched` is False: a schedule that never splits Y).
+    """
+    if not 1 <= engines <= dims.nx:
+        raise ValueError(f"engines must be in 1..nx={dims.nx}, got {engines}")
+    if y_batch < 1:
+        raise ValueError(f"y_batch must be >= 1, got {y_batch}")
+    if batched and y_batch > dims.ny:
+        raise ValueError(f"y_batch must be in 1..ny={dims.ny}, got {y_batch}")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import FieldSet, GridDims, SourceSet, zeros_sources
+from .grid import FieldSet, SourceSet, zeros_sources
 
 
 @dataclass
@@ -66,11 +66,6 @@ class FlopProfile:
     @property
     def total_per_cell(self) -> int:
         return self.adds_per_cell + self.muls_per_cell
-
-
-def flops(dims: GridDims, profile: FlopProfile = FlopProfile()) -> int:
-    """Nominal operation count for one kernel run over the grid."""
-    return dims.cells * profile.total_per_cell
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldSet, GridDims, SourceSet, zeros_sources
+from .grid import FieldSet, GridDims, SourceSet, check_config, zeros_sources
 from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
@@ -42,8 +42,7 @@ class Slab:
 
 def partition_domain(dims: GridDims, engines: int) -> list[Slab]:
     """Balanced contiguous X slabs; widths differ by at most one."""
-    if not 1 <= engines <= dims.nx:
-        raise ValueError(f"engines must be in 1..nx={dims.nx}, got {engines}")
+    check_config(dims, engines, y_batch=1)
     base, rem = divmod(dims.nx, engines)
     slabs, x = [], 1
     for e in range(engines):
@@ -62,16 +61,10 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if self.y_batch < 1:
-            raise ValueError("y_batch must be >= 1")
-        if self.engines < 1:
-            raise ValueError("engines must be >= 1")
 
     def validate(self, dims: GridDims) -> None:
-        if self.engines > dims.nx:
-            raise ValueError(f"engines={self.engines} exceeds nx={dims.nx}")
-        if self.variant in ("y_batched", "x_reordered") and self.y_batch > dims.ny:
-            raise ValueError(f"y_batch={self.y_batch} exceeds ny={dims.ny}")
+        check_config(dims, self.engines, self.y_batch,
+                     batched=self.variant in ("y_batched", "x_reordered"))
 
 
 @dataclass

@@ -1,11 +1,18 @@
+import argparse
+import contextlib
 import csv
 import dataclasses
 import gc
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pwadvect.cli import main
+from pwadvect.cli import _list_parser, _parse_grid, main
+from pwadvect.grid import check_config
+from pwadvect.params import ModelParams
 from pwadvect.refdata import HEADLINE
 
 
@@ -210,7 +217,7 @@ def test_calibrate_degenerate_observations(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run_cli() == 2
     assert run_cli("bench", "--grid", "not-a-grid") == 2
     assert run_cli("bench", "--grid", "4x4x4", "--reps", "0") == 2
@@ -223,6 +230,21 @@ def test_usage_errors_exit_2():
     assert run_cli("sweep", "--cells-list", "1e6", "--engines", ",") == 2
     assert run_cli("model", "--grid", "8x64x8", "--engines", "0") == 2
     assert run_cli("sweep", "--grid", "8x64x8", "--engines", "1,0") == 2
+    # more engines than X columns: no engine may be idle
+    assert run_cli("model", "--grid", "4x128x64", "--engines", "12") == 2
+    assert run_cli("sweep", "--grid", "8x64x8", "--engines", "1,9") == 2
+    # calibrate: observations the model cannot place, or cannot read
+    obs = tmp_path / "obs.json"
+    ladder = {"grid": "512x512x64", "engines": 1, "seconds": 0.51}
+    for bad in ({"grid": "64x64x64", "engines": 0, "seconds": 0.3},
+                {"grid": "8x64x64", "engines": 12, "seconds": 0.3},
+                {"grid": "64x32x64", "engines": 12, "seconds": 0.3},  # ny < model.y_batch
+                {"grid": "not-a-grid", "engines": 12, "seconds": 0.3}):
+        obs.write_text(json.dumps([ladder, bad]))
+        assert run_cli("calibrate", "--obs", str(obs)) == 2
+    for raw in ({"grid": "512x512x64"}, [1]):
+        obs.write_text(json.dumps(raw))
+        assert run_cli("calibrate", "--obs", str(obs)) == 2
     # bench: invalid schedule specs
     assert run_cli("bench", "--grid", "4x4x4", "--engines", "0") == 2
     assert run_cli("bench", "--grid", "4x4x4", "--y-batch", "0") == 2
@@ -230,3 +252,69 @@ def test_usage_errors_exit_2():
     for schedule in ("ybatched", "xreordered"):
         assert run_cli("bench", "--grid", "8x64x8", "--schedule", schedule,
                        "--y-batch", "128") == 2
+
+
+# Inputs for the parsers: free text, and numbers shaped like a grid or a
+# list, some of them near the edges of a legal model configuration.
+_NUMBER = st.integers(-2, 300) | st.integers()
+_GRID_TEXT = st.text(max_size=12) | st.tuples(
+    _NUMBER | st.integers(1, 24), _NUMBER | st.integers(60, 130), _NUMBER | st.integers(1, 70),
+).map(lambda t: "x".join(map(str, t)))
+_ENGINES = st.integers(-2, 20).map(str)
+_LIST_TEXT = st.text(max_size=12) | st.lists(
+    _ENGINES | st.floats().map(repr), max_size=4).map(",".join)
+_ENGINE_LIST = st.text(max_size=12) | st.lists(_ENGINES, max_size=4).map(",".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GRID_TEXT)
+def test_parse_grid_accepts_or_raises_usage_error(text):
+    try:
+        dims = _parse_grid(text)
+    except argparse.ArgumentTypeError:
+        return
+    assert dims.nx >= 1 and dims.ny >= 1 and dims.nz >= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LIST_TEXT, st.sampled_from([int, float]))
+def test_list_parser_accepts_or_raises_usage_error(text, cast):
+    # argparse reports an ArgumentTypeError or ValueError from a type as a usage error
+    try:
+        values = _list_parser(cast)(text)
+    except (argparse.ArgumentTypeError, ValueError):
+        return
+    assert values and all(type(v) is cast for v in values)
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(*argv)
+
+
+def _legal(grid: str, engines: str, parse_engines) -> bool:
+    try:
+        dims = _parse_grid(grid)
+        for e in parse_engines(engines):
+            check_config(dims, e, ModelParams().y_batch)
+    except (argparse.ArgumentTypeError, ValueError):
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GRID_TEXT, st.text(max_size=4) | _ENGINES)
+def test_model_answers_only_legal_configurations(grid, engines):
+    code = _quiet_main(["model", "--grid", grid, "--engines", engines])
+    assert code in (0, 2)
+    if code == 0:
+        assert _legal(grid, engines, lambda text: [int(text)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GRID_TEXT, _ENGINE_LIST)
+def test_sweep_answers_only_legal_configurations(grid, engines):
+    code = _quiet_main(["sweep", "--grid", grid, "--engines", engines])
+    assert code in (0, 2)
+    if code == 0:
+        assert _legal(grid, engines, _list_parser(int))

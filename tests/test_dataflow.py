@@ -7,6 +7,7 @@ from pwadvect.dataflow import (
     CalibrationResult,
     MemoryModel,
     PipelineSpec,
+    _engine_share,
     calibrate,
     gflops,
     kernel_compute_cycles,
@@ -20,6 +21,7 @@ from pwadvect.grid import make_grid
 from pwadvect.kernel import FlopProfile
 from pwadvect.params import ModelParams
 from pwadvect.refdata import GRID_LADDER, GRID_LARGEST, ladder_model_ms
+from pwadvect.schedules import ScheduleSpec, partition_domain
 
 PARAMS = ModelParams()
 
@@ -121,6 +123,36 @@ def test_kernel_time_monotone_in_engines_and_cells():
     sizes = [kernel_time(g, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 4)
              for g in grids]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_engine_share_is_widest_slab():
+    for nx in range(1, 41):
+        dims = make_grid(nx, 2, 2)
+        for engines in range(1, nx + 1):
+            widest = max(s.width for s in partition_domain(dims, engines))
+            assert _engine_share(dims, engines).nx == widest
+
+
+def _error(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_model_and_schedules_agree_on_legality():
+    verdicts = set()
+    for nx, ny in ((1, 1), (3, 16), (12, 64), (16, 8)):
+        dims = make_grid(nx, ny, 4)
+        for engines in (-1, 0, 1, 2, nx, nx + 1, 13):
+            for y_batch in (-1, 0, 1, 8, ny, ny + 1, 64):
+                model = _error(lambda: kernel_time(dims, PARAMS.pipeline, PARAMS.memory,
+                                                   y_batch, engines))
+                spec = _error(lambda: ScheduleSpec("y_batched", y_batch, engines).validate(dims))
+                assert model == spec, (dims, engines, y_batch)
+                verdicts.add(model is None)
+    assert verdicts == {True, False}
 
 
 def test_calibrate_reproduces_anchors():

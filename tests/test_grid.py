@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwadvect.grid import (
     Field3D,
     GeneratorSpec,
     GridError,
+    check_config,
     checksum,
     fill_fields,
     lcg_doubles,
@@ -131,3 +134,17 @@ def test_field_shape_validation():
         Field3D(dims, np.zeros((2, 2, 2)))
     with pytest.raises(GridError):
         Field3D(dims, np.zeros(dims.padded_shape, dtype=np.float32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 80),
+       st.integers(-3, 45) | st.integers(), st.integers(-3, 90) | st.integers(), st.booleans())
+def test_check_config_accepts_exactly_the_configurations_that_fit(nx, ny, engines, y_batch,
+                                                                  batched):
+    try:
+        check_config(make_grid(nx, ny, 2), engines, y_batch, batched)
+        accepted = True
+    except ValueError:
+        accepted = False
+    # no idle engine, no empty batch, and a batch of Y never wider than ny
+    assert accepted == (1 <= engines <= nx and y_batch >= 1 and (not batched or y_batch <= ny))

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pwadvect import params
 from pwadvect.params import (
     ENV_VAR,
+    KNOWN_KEYS,
     ModelParams,
     ParamError,
     default_params_path,
@@ -104,3 +108,22 @@ def test_range_limits_accepted():
                            "pipeline.clock_hz = 1e-3")
     assert kv == {"memory.contention": 1.0, "model.y_batch": 1, "pipeline.ii": 1,
                   "pipeline.clock_hz": 1e-3}
+
+
+_VALUES = st.one_of(st.text(max_size=8), st.integers().map(str), st.floats().map(repr))
+_LINES = st.one_of(
+    st.text(max_size=30),
+    st.tuples(st.sampled_from(sorted(KNOWN_KEYS) + ["model.bogus"]), st.sampled_from(["=", " = ", ""]),
+              _VALUES).map("".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=4).map("\n".join))
+def test_any_params_text_parses_or_raises_param_error(text):
+    try:
+        kv = parse_params_text(text)
+    except ParamError:
+        return
+    # whatever the parser accepts, the model's own constructors accept too
+    params._assemble({**params._DEFAULT_KV, **kv})

@@ -53,9 +53,9 @@ def test_partition_rejects_bad_engine_counts():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ScheduleSpec("nonsense")
-    with pytest.raises(ValueError):
-        ScheduleSpec("reference", y_batch=0)
     dims = make_grid(4, 4, 4)
+    with pytest.raises(ValueError):
+        ScheduleSpec("reference", y_batch=0).validate(dims)
     with pytest.raises(ValueError):
         ScheduleSpec("y_batched", y_batch=5).validate(dims)
     with pytest.raises(ValueError):
