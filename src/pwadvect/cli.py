@@ -222,9 +222,13 @@ def cmd_calibrate(args, parser) -> int:
     if args.obs:
         try:
             raw = json.loads(Path(args.obs).read_text())
-            observations = [(_parse_grid(o["grid"]), int(o["engines"]), float(o["seconds"]))
+            observations = [(_parse_grid(o["grid"]), o["engines"], float(o["seconds"]))
                             for o in raw]
-            for dims, engines, _ in observations:
+            for dims, engines, seconds in observations:
+                if type(engines) is not int:
+                    raise ValueError(f"engines = {engines!r} is not an integer")
+                if not (np.isfinite(seconds) and seconds > 0):
+                    raise ValueError(f"seconds = {seconds!r} must be finite and > 0")
                 check_config(dims, engines, p.y_batch)
         except (OSError, ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
             parser.error(f"bad observations file {args.obs}: {exc}")

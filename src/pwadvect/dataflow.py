@@ -143,7 +143,8 @@ def calibrate(observations, spec: PipelineSpec, y_batch: int,
     pins the memory-phase rate bw * contention^(g-1) once the modeled
     compute time is subtracted; the fit is least squares in log space
     (first-order relative error). Needs observations spanning at least two
-    controller group sizes, otherwise the system is singular.
+    controller group sizes, otherwise the system is singular, and a fitted
+    contention of at most 1.
     """
     base = base or MemoryModel(eff_bandwidth_1=1.0)
     obs = list(observations)
@@ -165,6 +166,9 @@ def calibrate(observations, spec: PipelineSpec, y_batch: int,
     if np.linalg.matrix_rank(a) < 2:
         raise ValueError("degenerate observation set: controller group sizes coincide")
     (ln_bw, ln_c), *_ = np.linalg.lstsq(a, np.array(rhs), rcond=None)
+    if ln_c > 1e-9:  # beyond rounding: the model derates bandwidth, never raises it
+        raise ValueError("observations need contention > 1: engines sharing a "
+                         "controller cannot each run faster than one alone")
     model = replace(base, eff_bandwidth_1=math.exp(ln_bw), contention=min(1.0, math.exp(ln_c)))
     residuals = []
     for dims, engines, seconds in obs:

@@ -263,6 +263,7 @@ def _c_level(tapes, k: str, ks: dict) -> list[str]:
 def kernel_source() -> str:
     """The C source of the compiled kernel, generated from the formula tapes.
 
+    `pwadvect_block` evaluates columns (a, b), a0 <= a < a1, 0 <= b < n1.
     `desc` holds (base address, stride 0, stride 1) per array, strides in
     bytes: the 17 COMPUTE_ROLES in order (r0..r16), then su, sv, sw
     (o0..o2). Column (a, b) of array n starts at COLUMN(n).
@@ -290,11 +291,12 @@ def kernel_source() -> str:
         "    && __GNUC__ >= 12",
         '__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))',
         "#endif",
-        "void pwadvect_block(int64_t n0, int64_t n1, int64_t nz, double tcx, double tcy,",
-        "                    const double *tzc1, const double *tzc2, const int64_t *desc)",
+        "void pwadvect_block(int64_t a0, int64_t a1, int64_t n1, int64_t nz, double tcx,",
+        "                    double tcy, const double *tzc1, const double *tzc2,",
+        "                    const int64_t *desc)",
         "{",
         "    const int64_t t = nz - 1;",
-        "    for (int64_t a = 0; a < n0; a++) {",
+        "    for (int64_t a = a0; a < a1; a++) {",
         "        for (int64_t b = 0; b < n1; b++) {",
         *indent(columns, 3),
         "            #pragma omp simd",
@@ -345,7 +347,7 @@ def _build():
 def _declare(lib):
     """`lib` with the argument and result types of pwadvect_block declared."""
     lib.pwadvect_block.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                                   ctypes.c_double, ctypes.c_double,
+                                   ctypes.c_int64, ctypes.c_double, ctypes.c_double,
                                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     lib.pwadvect_block.restype = None
     return lib
@@ -399,47 +401,58 @@ def _checked_arrays(coeffs: AdvectionCoefficients, roles: dict, out) -> list:
 BLOCK_CELLS = 1 << 16
 
 
-def compute_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:
-    """Evaluate su/sv/sw for columns given their role arrays, into `out`.
+class BoundBlock:
+    """A block's arrays, checked and addressed once, for `compute_block` to run.
 
     `roles` maps each key in COMPUTE_ROLES to a float64 array shaped
-    (..., nz), with a common leading shape of at most two axes and unit
-    stride along k. `out` is (su, sv, sw), writeable arrays of that shape;
-    levels k >= 2 are written and level k = 1 is left as it is. A bad role
-    or output raises ValueError. No output may overlap a role or another
-    output: the compiled kernel runs the k loop in SIMD lanes on that
-    promise, and it is not checked (every caller writes into a SourceSet
-    of its own). The compiled kernel takes the arrays whole and reads them
-    in place; the numpy replay (no compiler) evaluates blocks of at most
-    BLOCK_CELLS cells into scratch slots kept in `scratch`, a dict the
-    caller owns and passes to every call, one `new_scratch` per block
-    shape, so callers running concurrently need one each.
+    (..., nz), with a common leading shape (n0, n1), (n1,) or () and unit
+    stride along k; any leading stride, 0 included, is allowed. `out` is
+    (su, sv, sw), writeable arrays of that shape; levels k >= 2 are
+    written and level k = 1 is left as it is. A bad role or output raises
+    ValueError. No output may overlap a role or another output: the
+    compiled kernel runs the k loop in SIMD lanes on that promise, and it
+    is not checked (every caller writes into a SourceSet of its own).
+    The compiled kernel reads the arrays in place; the numpy replay (no
+    compiler) evaluates blocks of at most BLOCK_CELLS cells into scratch
+    slots kept in `scratch`, a dict the caller owns and may share between
+    blocks, one `new_scratch` per block shape, so blocks run concurrently
+    need one each. The block holds every array it addressed, so it stays
+    valid after the caller drops `roles` and `out`.
     """
-    arrays = _checked_arrays(coeffs, roles, out)
-    shape = arrays[0].shape
-    lib = _compiled()
-    if lib is not None:
-        n0, n1 = ((1, 1) + shape[:-1])[-2:]
-        desc = []
-        for arr in arrays:
-            desc += (arr.ctypes.data, *((0, 0) + arr.strides[:-1])[-2:])
-        # named, so that these buffers outlive the call
-        desc = np.array(desc, dtype=np.int64)
-        tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
-        lib.pwadvect_block(n0, n1, shape[-1], coeffs.tcx, coeffs.tcy, tzc1.ctypes.data,
-                           tzc2.ctypes.data, desc.ctypes.data)
+
+    def __init__(self, coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict):
+        self.coeffs, self.scratch, self.lib = coeffs, scratch, _compiled()
+        # the 17 roles, then su, sv, sw, each viewed as (n0, n1, nz)
+        self.arrays = tuple(arr[(None,) * (3 - arr.ndim)]
+                            for arr in _checked_arrays(coeffs, roles, out))
+        if self.lib is not None:
+            desc = np.array([(arr.ctypes.data, *arr.strides[:2]) for arr in self.arrays],
+                            dtype=np.int64)
+            tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
+            self.keep = (tzc1, tzc2, desc)  # the buffers behind the addresses in args
+            self.args = (*self.arrays[0].shape[1:], coeffs.tcx, coeffs.tcy, tzc1.ctypes.data,
+                         tzc2.ctypes.data, desc.ctypes.data)
+
+
+def compute_block(block: BoundBlock, a0: int, a1: int) -> None:
+    """Evaluate rows a0 <= a < a1 of a bound block's leading axis into its outputs.
+
+    A range outside 0 <= a0 <= a1 <= n0 raises ValueError.
+    """
+    n0, n1, nz = block.arrays[0].shape
+    if not 0 <= a0 <= a1 <= n0:
+        raise ValueError(f"rows [{a0}, {a1}) are outside the block's {n0} rows")
+    if block.lib is not None:
+        block.lib.pwadvect_block(a0, a1, *block.args)
         return
     # the numpy replay, one block of at most BLOCK_CELLS cells at a time
-    *lead, nz = shape
-    n0, n1 = ([1, 1] + lead)[-2:]
     planes = max(1, BLOCK_CELLS // (n1 * nz))
     rows = min(n1, max(1, BLOCK_CELLS // nz))
-    for i0 in range(0, n0, planes):
+    for i0 in range(a0, a1, planes):
         for j0 in range(0, n1, rows):
-            # index only the leading axes the arrays have
-            block = (slice(i0, i0 + planes), slice(j0, j0 + rows))[2 - len(lead):]
-            views = [arr[block] for arr in arrays]
-            _replay_block(coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:], scratch)
+            views = [arr[i0 : min(i0 + planes, a1), j0 : j0 + rows] for arr in block.arrays]
+            _replay_block(block.coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:],
+                          block.scratch)
 
 
 def _replay_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:
@@ -482,8 +495,9 @@ def run_slab(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
              x0: int, x1: int) -> None:
     """Evaluate interior columns i in [x0, x1) into `out`, in one compute_block call."""
     ny = fields.dims.ny
-    compute_block(coeffs, grid_roles(fields, x0, x1, 1, ny + 1),
-                  tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)), {})
+    block = BoundBlock(coeffs, grid_roles(fields, x0, x1, 1, ny + 1),
+                       tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)), {})
+    compute_block(block, 0, x1 - x0)
 
 
 def run_reference(fields: FieldSet, coeffs: AdvectionCoefficients) -> SourceSet:

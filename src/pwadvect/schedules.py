@@ -20,6 +20,7 @@ from .grid import FieldSet, GridDims, SourceSet, check_config, zeros_sources
 from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
+    BoundBlock,
     compute_block,
     reads_per_point,
     run_slab,
@@ -123,7 +124,7 @@ def _run_buffered_slab(fields, coeffs, out, slab, spec, tc, batch):
             tc.external_reads += len(COMPUTE_ROLES) * bw * nz
             tc.local_writes += len(COMPUTE_ROLES) * bw * nz
             peak = max(peak, len(COMPUTE_ROLES) * bw * nz * 8)
-            compute_block(coeffs, buf, _out_rows(out, i, j0, bw), scratch)
+            compute_block(BoundBlock(coeffs, buf, _out_rows(out, i, j0, bw), scratch), 0, 1)
             tc.local_reads += bw * col_reads
             _count_writes(tc, bw, nz)
     tc.scratch_bytes_peak = max(tc.scratch_bytes_peak, peak)
@@ -141,15 +142,19 @@ def _run_x_reordered_slab(fields, coeffs, out, slab, spec, tc):
         # slot i % 3 of a field's ring holds rows j0-1 .. j0+bw of X plane i
         rings = {f: np.empty((3, bw + 2, nz)) for f in arrs}
         tc.scratch_bytes_peak = max(tc.scratch_bytes_peak, 9 * (bw + 2) * nz * 8)
-        roles_at = [{(f, dx, dy): rings[f][(r + dx) % 3, 1 + dy : 1 + dy + bw]
-                     for f, dx, dy in COMPUTE_ROLES} for r in range(3)]
+        # block r writes the slab's rows; its roles repeat the ring rows of
+        # phase r along X (stride 0), so plane x runs row x - x_begin of block x % 3
+        outs = [f.data[slab.x_begin : slab.x_end, j0 : j0 + bw] for f in (out.su, out.sv, out.sw)]
+        blocks = [BoundBlock(coeffs, {(f, dx, dy): np.broadcast_to(
+                      rings[f][(r + dx) % 3, 1 + dy : 1 + dy + bw], (slab.width, bw, nz))
+                      for f, dx, dy in COMPUTE_ROLES}, outs, scratch) for r in range(3)]
         for i in range(slab.x_begin - 1, slab.x_end + 1):
             for f, ring in rings.items():
                 np.copyto(ring[i % 3], arrs[f][i, j0 - 1 : j0 + bw + 1])
             # the ring now holds planes i-2 .. i, the X window of plane i-1
             if i > slab.x_begin:
-                compute_block(coeffs, roles_at[(i - 1) % 3],
-                              _out_rows(out, i - 1, j0, bw), scratch)
+                a = i - 1 - slab.x_begin
+                compute_block(blocks[(i - 1) % 3], a, a + 1)
         tc.external_reads += 3 * (slab.width + 2) * (bw + 2) * nz
         tc.local_writes += 3 * (slab.width + 2) * (bw + 2) * nz
         tc.local_reads += slab.width * bw * col_reads

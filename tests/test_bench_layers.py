@@ -12,7 +12,13 @@ import pytest
 
 from pwadvect import kernel
 from pwadvect.grid import GeneratorSpec, checksum, fill_fields, make_grid
-from pwadvect.kernel import compute_block, default_coefficients, grid_roles, run_reference
+from pwadvect.kernel import (
+    BoundBlock,
+    compute_block,
+    default_coefficients,
+    grid_roles,
+    run_reference,
+)
 
 GRID = (128, 128, 64)
 
@@ -34,7 +40,8 @@ def test_bench_compute_block_one_block(benchmark, case):
         assert planes * dims.ny * dims.nz == kernel.BLOCK_CELLS
     roles = grid_roles(fields, 1, 1 + planes, 1, dims.ny + 1)
     out = tuple(np.zeros((planes, dims.ny, dims.nz)) for _ in range(3))
-    benchmark(compute_block, coeffs, roles, out, {})
+    # bound and run once per call, as run_slab does
+    benchmark(lambda: compute_block(BoundBlock(coeffs, roles, out, {}), 0, planes))
     assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
 
 
@@ -47,15 +54,18 @@ class TestNumpyReplay:
 
 
 def test_bench_compute_block_x_reordered_block(benchmark, case):
-    # the x_reordered schedule's block, y_batch = 64: the roles are views
-    # into one (3, 66, nz) ring of X planes 0..2 per field, as at plane 1
+    # one X step of the x_reordered schedule, y_batch = 64: the roles are
+    # rows of one (3, 66, nz) ring of X planes 0..2 per field, repeated
+    # along X, bound once; each step runs one row
     dims, fields, coeffs = case
     rings = {f: getattr(fields, f).data[0:3, 0:66].copy() for f in "uvw"}
-    roles = {(f, dx, dy): rings[f][1 + dx, 1 + dy : 65 + dy]
+    roles = {(f, dx, dy): np.broadcast_to(rings[f][1 + dx, 1 + dy : 65 + dy], (4, 64, dims.nz))
              for f, dx, dy in kernel.COMPUTE_ROLES}
-    out = tuple(np.zeros((64, dims.nz)) for _ in range(3))
-    benchmark(compute_block, coeffs, roles, out, {})
-    assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
+    out = tuple(np.zeros((4, 64, dims.nz)) for _ in range(3))
+    block = BoundBlock(coeffs, roles, out, {})
+    benchmark(compute_block, block, 1, 2)
+    assert all(a[1, :, 1:].any() and not a[1, :, 0].any() and not a[[0, 2, 3]].any()
+               for a in out)
 
 
 def test_bench_run_reference(benchmark, case):

@@ -215,6 +215,14 @@ def test_calibrate_degenerate_observations(tmp_path, capsys):
     ]))
     assert run_cli("calibrate", "--obs", str(obs)) == 1
     assert "degenerate" in capsys.readouterr().err
+    # a finite but absurd time: one engine 1e308 s, twelve 0.99 s, which only
+    # a contention far above 1 could fit
+    obs.write_text(json.dumps([
+        {"grid": "512x512x64", "engines": 1, "seconds": 1e308},
+        {"grid": "2047x2048x64", "engines": 12, "seconds": 0.99},
+    ]))
+    assert run_cli("calibrate", "--obs", str(obs)) == 1
+    assert "contention > 1" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -244,6 +252,12 @@ def test_usage_errors_exit_2(tmp_path):
         assert run_cli("calibrate", "--obs", str(obs)) == 2
     for raw in ({"grid": "512x512x64"}, [1]):
         obs.write_text(json.dumps(raw))
+        assert run_cli("calibrate", "--obs", str(obs)) == 2
+    # times and engine counts no kernel run can have; int() would take 1.9 as 1
+    anchor = {"grid": "2047x2048x64", "engines": 12, "seconds": 0.99}
+    for bad in ({"seconds": float("nan")}, {"seconds": 0}, {"seconds": -1},
+                {"seconds": float("inf")}, {"engines": 1.9}, {"engines": True}):
+        obs.write_text(json.dumps([{**ladder, **bad}, anchor]))
         assert run_cli("calibrate", "--obs", str(obs)) == 2
     # bench: invalid schedule specs
     assert run_cli("bench", "--grid", "4x4x4", "--engines", "0") == 2

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import json
 import os
 import platform
@@ -18,16 +19,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pwadvect import kernel
-from pwadvect.grid import GeneratorSpec, checksum, fill_fields, make_grid, wrap_halos
+from pwadvect.grid import GeneratorSpec, checksum, fill_fields, make_grid, wrap_halos, zeros_sources
 from pwadvect.kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
+    BoundBlock,
     FlopProfile,
     advect_point_u,
     advect_point_v,
     advect_point_w,
     compute_block,
     default_coefficients,
+    grid_roles,
     operation_census,
     reads_per_point,
     run_reference,
@@ -43,6 +46,12 @@ def random_coeffs(nz, seed=11):
     rng = np.random.default_rng(seed)
     return AdvectionCoefficients(float(rng.random()), float(rng.random()),
                                  rng.random(nz), rng.random(nz))
+
+
+def evaluate(coeffs, roles, out):
+    """Bind a block and run all of it, as the reference run does."""
+    block = BoundBlock(coeffs, roles, out, {})
+    compute_block(block, 0, block.arrays[0].shape[0])
 
 
 def test_zero_fields_zero_everywhere():
@@ -211,15 +220,18 @@ def _block_shapes(monkeypatch, block_cells):
     compute_block call and of every block the numpy replay evaluates."""
     monkeypatch.setattr(kernel, "BLOCK_CELLS", block_cells)
     calls, blocks = [], []
+    run, replay = kernel.compute_block, kernel._replay_block
 
-    def recorder(real, shapes):
-        def recording(coeffs, roles, out, scratch):
-            shapes.append(roles[("u", 0, 0)].shape[:2])
-            return real(coeffs, roles, out, scratch)
-        return recording
+    def running(block, a0, a1):
+        calls.append((a1 - a0, block.arrays[0].shape[1]))
+        return run(block, a0, a1)
 
-    monkeypatch.setattr(kernel, "compute_block", recorder(kernel.compute_block, calls))
-    monkeypatch.setattr(kernel, "_replay_block", recorder(kernel._replay_block, blocks))
+    def replaying(coeffs, roles, out, scratch):
+        blocks.append(roles[("u", 0, 0)].shape[:2])
+        return replay(coeffs, roles, out, scratch)
+
+    monkeypatch.setattr(kernel, "compute_block", running)
+    monkeypatch.setattr(kernel, "_replay_block", replaying)
     return calls, blocks
 
 
@@ -344,7 +356,7 @@ def test_replay_bitwise_equals_formulas(case):
     sentinel = -1.25e-300
     out = tuple(np.full(roles[("u", 0, 0)].shape, sentinel) for _ in range(3))
     with np.errstate(all="ignore"):
-        compute_block(coeffs, roles, out, {})
+        evaluate(coeffs, roles, out)
         for (formula, spec), got in zip(kernel._FORMULAS, out):
             if nz > 2:
                 ops = [roles[(f, dx, dy)][..., 1 + dk : t + dk] for f, dx, dy, dk in spec]
@@ -381,20 +393,6 @@ def test_reference_reuses_scratch(monkeypatch, numpy_replay, grid, expected):
     shapes = _count_scratch(monkeypatch)
     run_reference(fields, default_coefficients(dims.nz))
     assert shapes == expected
-
-
-@pytest.mark.usefixtures("numpy_replay")
-class TestNumpyReplay:
-    """The bitwise and block tests above, again with compute_block pinned to
-    the numpy replay; at module level they run on the compiled kernel when gcc
-    is found."""
-
-    test_replay_bitwise_equals_formulas = staticmethod(test_replay_bitwise_equals_formulas)
-    test_block_edges_bitwise_equal_to_oracle = staticmethod(
-        test_block_edges_bitwise_equal_to_oracle)
-    test_block_edges_reproduce_goldens = staticmethod(test_block_edges_reproduce_goldens)
-    test_reference_schedule_blocks_each_slab = staticmethod(
-        test_reference_schedule_blocks_each_slab)
 
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
@@ -493,9 +491,23 @@ def test_each_clone_bitwise_equals_replay(monkeypatch, tmp_path, level):
             monkeypatch.setattr(kernel, "_lib", lib)
             out = tuple(np.full((3, 5, nz), -1.25e-300) for _ in range(3))
             with np.errstate(all="ignore"):
-                compute_block(coeffs, roles, out, {})
+                evaluate(coeffs, roles, out)
             outs.append(out)
         assert all(_same_bits(a, b) for a, b in zip(*outs))
+    # x_reordered binds its roles as ring rows repeated along X with stride 0
+    dims = make_grid(7, 9, 19)
+    fields = fill_fields(dims, GeneratorSpec.random(5))
+    for f in (fields.u, fields.v, fields.w):
+        flat = f.data.reshape(-1)
+        flat[rng.choice(flat.size, 50, replace=False)] = rng.choice(SPECIAL, 50)
+    coeffs = random_coeffs(dims.nz)
+    with np.errstate(all="ignore"):
+        ref = run_reference(fields, coeffs)
+        for lib in (clone, None):
+            monkeypatch.setattr(kernel, "_lib", lib)
+            # one engine: worker threads would not see the errstate
+            out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 4))
+            assert compare_outputs(ref, out).bitwise_equal
 
 
 @pytest.mark.parametrize("cause", ["no compiler", "failed build"])
@@ -523,11 +535,13 @@ def test_fallback_warns_once_and_stays_bitwise(monkeypatch, tmp_path, cause):
 
 
 def _bad_block(case):
-    """A 3x4 block of columns (nz = 5) with one defect, as (coeffs, roles, out)."""
+    """A 3x4 block of columns (nz = 5) with one defect, as (coeffs, roles, out, rows)."""
     nz = 5
     roles = {role: np.ones((3, 4, nz)) for role in COMPUTE_ROLES}
     out = [np.zeros((3, 4, nz)) for _ in range(3)]
     coeffs = default_coefficients(nz)
+    rows = {"rows past the end": (0, 4), "negative row": (-1, 2),
+            "reversed rows": (2, 1)}.get(case, (0, 3))
     if case == "role shape":
         roles[("v", 0, 0)] = np.ones((3, 5, nz))
     elif case == "role dtype":
@@ -546,17 +560,42 @@ def _bad_block(case):
         roles = {role: np.ones((2, 3, 4, nz)) for role in COMPUTE_ROLES}
     elif case == "not an array":
         roles[("u", 0, 0)] = [[[1.0] * nz] * 4] * 3
-    return coeffs, roles, tuple(out)
+    return coeffs, roles, tuple(out), rows
 
 
 @pytest.mark.parametrize("case", ["role shape", "role dtype", "role k-stride", "missing role",
                                   "coefficient nz", "read-only output", "output k-stride",
-                                  "three leading axes", "not an array"])
+                                  "three leading axes", "not an array", "rows past the end",
+                                  "negative row", "reversed rows"])
 def test_compute_block_rejects_bad_arrays(case):
-    coeffs, roles, out = _bad_block(case)
+    coeffs, roles, out, rows = _bad_block(case)
     with pytest.raises(ValueError):
-        compute_block(coeffs, roles, out, {})
+        compute_block(BoundBlock(coeffs, roles, out, {}), *rows)
     assert not any(o.any() for o in out if o.ndim == 3)
+
+
+def test_bound_block_outlives_callers_arrays():
+    # the block alone holds the roles, outputs and coefficients it addressed
+    dims = make_grid(5, 4, 6)
+    fields = fill_fields(dims, GeneratorSpec.random(29))
+    coeffs = random_coeffs(dims.nz)
+    ref = run_reference(fields, coeffs)
+    out = zeros_sources(dims)
+    shape = (dims.nx, dims.ny, dims.nz)
+    roles = {role: view.copy() for role, view in grid_roles(fields, 1, 6, 1, 5).items()}
+    views = tuple(np.zeros(shape) for _ in range(3))
+    # strided coefficients, so that the kernel gets contiguous copies of them
+    strided = [np.repeat(z, 2)[::2] for z in (coeffs.tzc1, coeffs.tzc2)]
+    block = BoundBlock(AdvectionCoefficients(coeffs.tcx, coeffs.tcy, *strided), roles, views, {})
+    del roles, views, strided
+    gc.collect()
+    # take back any buffer freed: role-, coefficient- and descriptor-sized
+    junk = [np.full(n, np.nan) for n in (np.prod(shape), dims.nz, 3 * 20) for _ in range(40)]
+    compute_block(block, 0, dims.nx)
+    for f, src in zip(block.arrays[-3:], (out.su, out.sv, out.sw)):
+        src.data[1:-1, 1:-1] = f
+    assert compare_outputs(ref, out).bitwise_equal
+    del junk
 
 
 def test_model_path_builds_no_kernel():
@@ -569,3 +608,20 @@ def test_model_path_builds_no_kernel():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.usefixtures("numpy_replay")
+class TestNumpyReplay:
+    """The bitwise, block and bound-block tests above, again with compute_block
+    pinned to the numpy replay; at module level they run on the compiled kernel
+    when gcc is found."""
+
+    test_replay_bitwise_equals_formulas = staticmethod(test_replay_bitwise_equals_formulas)
+    test_block_edges_bitwise_equal_to_oracle = staticmethod(
+        test_block_edges_bitwise_equal_to_oracle)
+    test_block_edges_reproduce_goldens = staticmethod(test_block_edges_reproduce_goldens)
+    test_reference_schedule_blocks_each_slab = staticmethod(
+        test_reference_schedule_blocks_each_slab)
+    test_compute_block_rejects_bad_arrays = staticmethod(test_compute_block_rejects_bad_arrays)
+    test_bound_block_outlives_callers_arrays = staticmethod(
+        test_bound_block_outlives_callers_arrays)

@@ -86,7 +86,7 @@ def test_engine_count_independence():
 def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
     # only the numpy replay evaluates into scratch slots
     # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab, so
-    # one scratch per batch width and slab
+    # one scratch per batch width and slab; every call evaluates one X row
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
     real = kernel.new_scratch
     calls = []
@@ -97,8 +97,47 @@ def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
 
     monkeypatch.setattr(kernel, "new_scratch", counting)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, 4, engines=3))
-    assert sorted(calls) == sorted([(w, dims.nz) for w in widths] * 3)
+    assert sorted(calls) == sorted([(1, w, dims.nz) for w in widths] * 3)
     assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
+
+
+@pytest.mark.parametrize("evaluator", ["compiled", "numpy"])
+def test_x_reordered_binds_each_ring_phase_once(monkeypatch, evaluator):
+    # 6 x 11 over 3 engines: slabs of 2 columns, Y batches of 4, 4 and 3 rows
+    if evaluator == "numpy":
+        monkeypatch.setattr(kernel, "_lib", None)
+    dims, fields, coeffs = case(nx=6, ny=11, nz=5)
+    ref = run_reference(fields, coeffs)
+    binds, runs, checks = [], [], []
+    bind, run, check = schedules.BoundBlock, schedules.compute_block, kernel._checked_arrays
+
+    def binding(*args):
+        block = bind(*args)
+        binds.append(block)
+        return block
+
+    def running(block, a0, a1):
+        runs.append((block, a0, a1))
+        return run(block, a0, a1)
+
+    def checking(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(schedules, "BoundBlock", binding)
+    monkeypatch.setattr(schedules, "compute_block", running)
+    monkeypatch.setattr(kernel, "_checked_arrays", checking)
+    out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 4, engines=3))
+    assert compare_outputs(out, ref).bitwise_equal
+    # per (engine, Y batch), keyed by the su rows it writes: 3 blocks, one per
+    # ring phase, and one single-row run per X column of the slab
+    batches = {}
+    for block in binds:
+        batches.setdefault(block.arrays[-3].ctypes.data, []).append(block)
+    assert len(batches) == 3 * 3 and len(checks) == len(binds) == 3 * 3 * 3
+    for blocks in batches.values():
+        rows = sorted((a0, a1) for block, a0, a1 in runs if any(block is b for b in blocks))
+        assert rows == [(0, 1), (1, 2)]
 
 
 def test_engine_threads_capped_by_cores(monkeypatch):
