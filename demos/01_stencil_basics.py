@@ -9,15 +9,15 @@ import numpy as np
 
 from pwadvect import (
     GeneratorSpec,
+    GridDims,
     advect_point_u,
     checksum,
     default_coefficients,
     fill_fields,
-    make_grid,
     run_reference,
 )
 
-dims = make_grid(16, 16, 12)
+dims = GridDims(16, 16, 12)
 print(f"grid: {dims.nx}x{dims.ny}x{dims.nz} = {dims.cells} interior cells,"
       f" padded storage {dims.padded_shape}")
 

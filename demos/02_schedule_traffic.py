@@ -9,17 +9,17 @@ per X step.
 
 from pwadvect import (
     GeneratorSpec,
+    GridDims,
     ScheduleSpec,
     checksum,
     compare_outputs,
     default_coefficients,
     fill_fields,
-    make_grid,
     run_reference,
     run_schedule,
 )
 
-dims = make_grid(48, 48, 32)
+dims = GridDims(48, 48, 32)
 fields = fill_fields(dims, GeneratorSpec.random(7))
 coeffs = default_coefficients(dims.nz)
 reference = run_reference(fields, coeffs)

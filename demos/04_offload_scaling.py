@@ -7,7 +7,7 @@ fixed, so the DMA share climbs toward ~70% at twelve engines on the
 options are reproduced from their calibration table.
 """
 
-from pwadvect import dma_time, factor_cells, load_params, make_grid, scaling_table
+from pwadvect import GridDims, dma_time, factor_cells, load_params, scaling_table
 from pwadvect.refdata import DMA_TABLE, GRID_STRATUS
 from pwadvect.transfer import TOPOLOGIES
 
@@ -36,7 +36,7 @@ for cells in (1e6, 4e6, 16e6, 67e6, 268e6):
     print(f"{rep.cells:>12} {grid:>14} {rep.kernel_seconds:>9.3f} {rep.dma_seconds:>8.3f}"
           f" {rep.gflops_kernel:>12.2f} {rep.gflops_total:>11.2f}")
 
-largest = make_grid(2047, 2048, 64)
+largest = GridDims(2047, 2048, 64)
 rep = scaling_table(largest, [12], params.pipeline, params.memory, params.dma,
                     params.y_batch, params.flops)[0]
 print(f"\nlargest case: {rep.cells/1e6:.1f}M cells -> kernel {rep.kernel_seconds:.3f} s"

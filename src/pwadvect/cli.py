@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataflow import calibrate, kernel_time, pipeline_cycles, pipeline_latency
-from .grid import GeneratorSpec, check_config, checksum, fill_fields, make_grid
+from .grid import GeneratorSpec, GridDims, check_config, checksum, fill_fields
 from .kernel import default_coefficients, evaluator
 from .params import ModelParams, ParamError, dump_params, load_params
 from .refdata import (
@@ -56,7 +56,7 @@ def _canon_schedule(name: str) -> str:
 def _parse_grid(text: str):
     try:
         nx, ny, nz = (int(part) for part in text.lower().split("x"))
-        return make_grid(nx, ny, nz)
+        return GridDims(nx, ny, nz)
     except Exception as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r} (want NXxNYxNZ): {exc}")
 

@@ -237,8 +237,8 @@ def new_scratch(shape) -> tuple[list, list]:
 # gcc >= 12 (ISA levels in target_clones) and glibc (ifunc); elsewhere the
 # source builds one plain body, still vectorised by the pragma. The library is
 # cached under .bench_build/ by a hash of the source, the flags and the
-# compiler version. Without a working gcc, compute_block replays the tapes
-# in numpy.
+# compiler version, and a new build deletes the libraries it supersedes.
+# Without a working gcc, compute_block replays the tapes in numpy.
 
 CFLAGS = ("-O2", "-ffp-contract=off", "-fopenmp-simd", "-fPIC", "-shared")
 _C_OPS = {np.add: "+", np.subtract: "-", np.multiply: "*"}
@@ -332,6 +332,11 @@ def _build():
                 subprocess.run([gcc, *CFLAGS, "-x", "c", "-", "-o", tmp], input=source,
                                capture_output=True, text=True, check=True)
                 os.replace(tmp, path)
+                # the new library supersedes the others; another builder's
+                # .so.tmp does not match, and one already deleted is skipped
+                for stale in _CACHE_DIR.glob("pwadvect_kernel-*.so"):
+                    if stale != path:
+                        stale.unlink(missing_ok=True)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)

@@ -86,91 +86,76 @@ class TrafficReport:
         self.scratch_bytes_peak = max(self.scratch_bytes_peak, other.scratch_bytes_peak)
 
 
-def _column_reads(nz: int) -> int:
-    # operand touches per output column: 54 per mid level, 45 at the top
-    return reads_per_point(False) * (nz - 2) + reads_per_point(True)
+# A staging rule lays out the scratch buffers of one Y batch. It returns,
+# per staging phase, the copies that stage X plane i, as (destination,
+# source rows of every X plane, dx) reading source plane i + dx, and the
+# role rows that the phase's block reads; and the lag, in X steps, from
+# staging a plane to computing it. X step i stages with phase i % phases
+# and computes plane i - lag with the block of phase (i - lag) % phases.
 
 
-def _out_rows(out: SourceSet, i: int, j0: int, bw: int):
-    return tuple(f.data[i, j0 : j0 + bw] for f in (out.su, out.sv, out.sw))
+def _role_rows(arrs, j0, bw, nz):
+    """column_buffered, y_batched: the 17 role rows of a plane, staged fresh."""
+    rows = {role: np.empty((bw, nz)) for role in COMPUTE_ROLES}
+    copies = [(rows[(f, dx, dy)], arrs[f][:, j0 + dy : j0 + dy + bw], dx)
+              for f, dx, dy in COMPUTE_ROLES]
+    return [copies], [rows], 0
 
 
-def _count_writes(tc: TrafficReport, columns: int, nz: int):
-    # outputs are stored at levels k >= 2 only
-    tc.external_writes += 3 * columns * (nz - 1)
+def _plane_ring(arrs, j0, bw, nz):
+    """x_reordered: one new plane per field into a 3-slot ring, computed a step later."""
+    # slot i % 3 of a field's ring holds rows j0-1 .. j0+bw of X plane i
+    rings = {f: np.empty((3, bw + 2, nz)) for f in arrs}
+    copies = [[(ring[p], arrs[f][:, j0 - 1 : j0 + bw + 1], 0) for f, ring in rings.items()]
+              for p in range(3)]
+    # plane x, run by phase x % 3, finds plane x + dx in slot (x + dx) % 3
+    roles = [{(f, dx, dy): rings[f][(r + dx) % 3, 1 + dy : 1 + dy + bw]
+              for f, dx, dy in COMPUTE_ROLES} for r in range(3)]
+    return copies, roles, 1
 
 
-def _run_reference_slab(fields, coeffs, out, slab, spec, tc):
-    dims = fields.dims
-    run_slab(fields, coeffs, out, slab.x_begin, slab.x_end)
-    tc.external_reads += slab.width * dims.ny * _column_reads(dims.nz)
-    _count_writes(tc, slab.width * dims.ny, dims.nz)
-
-
-def _run_buffered_slab(fields, coeffs, out, slab, spec, tc, batch):
-    """column_buffered (batch=1) and y_batched: copy role blocks, then compute."""
-    dims = fields.dims
-    nz, ny = dims.nz, dims.ny
+def _run_staged_slab(fields, coeffs, out, slab, tc, stage, batch):
+    """Per Y batch, bind one block per staging phase; per X step, stage, then run one row."""
+    nz, ny = fields.dims.nz, fields.dims.ny
     arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
-    col_reads = _column_reads(nz)
-    peak = 0
     scratch = {}
-    for i in range(slab.x_begin, slab.x_end):
-        for j0 in range(1, ny + 1, batch):
-            bw = min(batch, ny + 1 - j0)
-            buf = {}
-            for f, dx, dy in COMPUTE_ROLES:
-                buf[(f, dx, dy)] = arrs[f][i + dx, j0 + dy : j0 + dy + bw, :].copy()
-            tc.external_reads += len(COMPUTE_ROLES) * bw * nz
-            tc.local_writes += len(COMPUTE_ROLES) * bw * nz
-            peak = max(peak, len(COMPUTE_ROLES) * bw * nz * 8)
-            compute_block(BoundBlock(coeffs, buf, _out_rows(out, i, j0, bw), scratch), 0, 1)
-            tc.local_reads += bw * col_reads
-            _count_writes(tc, bw, nz)
-    tc.scratch_bytes_peak = max(tc.scratch_bytes_peak, peak)
-
-
-def _run_x_reordered_slab(fields, coeffs, out, slab, spec, tc):
-    """X loop inside the Y batch: a 3-plane ring per field, one new plane per X step."""
-    dims = fields.dims
-    nz, ny = dims.nz, dims.ny
-    arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
-    col_reads = _column_reads(nz)
-    scratch = {}
-    for j0 in range(1, ny + 1, spec.y_batch):
-        bw = min(spec.y_batch, ny + 1 - j0)
-        # slot i % 3 of a field's ring holds rows j0-1 .. j0+bw of X plane i
-        rings = {f: np.empty((3, bw + 2, nz)) for f in arrs}
-        tc.scratch_bytes_peak = max(tc.scratch_bytes_peak, 9 * (bw + 2) * nz * 8)
-        # block r writes the slab's rows; its roles repeat the ring rows of
-        # phase r along X (stride 0), so plane x runs row x - x_begin of block x % 3
+    for j0 in range(1, ny + 1, batch):
+        bw = min(batch, ny + 1 - j0)
+        copies, phases, lag = stage(arrs, j0, bw, nz)
+        # each block writes the slab's rows and reads its roles' staged rows
+        # repeated along X (stride 0), so plane x runs row x - x_begin
         outs = [f.data[slab.x_begin : slab.x_end, j0 : j0 + bw] for f in (out.su, out.sv, out.sw)]
-        blocks = [BoundBlock(coeffs, {(f, dx, dy): np.broadcast_to(
-                      rings[f][(r + dx) % 3, 1 + dy : 1 + dy + bw], (slab.width, bw, nz))
-                      for f, dx, dy in COMPUTE_ROLES}, outs, scratch) for r in range(3)]
-        for i in range(slab.x_begin - 1, slab.x_end + 1):
-            for f, ring in rings.items():
-                np.copyto(ring[i % 3], arrs[f][i, j0 - 1 : j0 + bw + 1])
-            # the ring now holds planes i-2 .. i, the X window of plane i-1
-            if i > slab.x_begin:
-                a = i - 1 - slab.x_begin
-                compute_block(blocks[(i - 1) % 3], a, a + 1)
-        tc.external_reads += 3 * (slab.width + 2) * (bw + 2) * nz
-        tc.local_writes += 3 * (slab.width + 2) * (bw + 2) * nz
-        tc.local_reads += slab.width * bw * col_reads
-        _count_writes(tc, slab.width * bw, nz)
+        blocks = [BoundBlock(coeffs, {role: np.broadcast_to(rows, (slab.width, bw, nz))
+                                      for role, rows in roles.items()}, outs, scratch)
+                  for roles in phases]
+        for i in range(slab.x_begin - lag, slab.x_end + lag):
+            for dst, src, dx in copies[i % len(copies)]:
+                np.copyto(dst, src[i + dx])
+            a = i - lag - slab.x_begin
+            if a >= 0:
+                compute_block(blocks[(i - lag) % len(blocks)], a, a + 1)
+        staged = (slab.width + 2 * lag) * sum(dst.size for dst, _, _ in copies[0])
+        tc.external_reads += staged
+        tc.local_writes += staged
+        tc.scratch_bytes_peak = max(tc.scratch_bytes_peak,
+                                    sum(dst.nbytes for phase in copies for dst, _, _ in phase))
 
 
 def _run_slab(fields, coeffs, out, slab, spec) -> TrafficReport:
-    tc = TrafficReport()
+    dims = fields.dims
+    columns = slab.width * dims.ny
+    # every schedule computes each column once: 54 operand touches per mid
+    # level and 45 at the top, and 3 outputs stored at levels k >= 2 only
+    touches = columns * (reads_per_point(False) * (dims.nz - 2) + reads_per_point(True))
+    tc = TrafficReport(external_writes=3 * columns * (dims.nz - 1))
     if spec.variant == "reference":
-        _run_reference_slab(fields, coeffs, out, slab, spec, tc)
-    elif spec.variant == "column_buffered":
-        _run_buffered_slab(fields, coeffs, out, slab, spec, tc, batch=1)
-    elif spec.variant == "y_batched":
-        _run_buffered_slab(fields, coeffs, out, slab, spec, tc, batch=spec.y_batch)
+        run_slab(fields, coeffs, out, slab.x_begin, slab.x_end)
+        tc.external_reads = touches
     else:
-        _run_x_reordered_slab(fields, coeffs, out, slab, spec, tc)
+        _run_staged_slab(fields, coeffs, out, slab, tc,
+                         _plane_ring if spec.variant == "x_reordered" else _role_rows,
+                         1 if spec.variant == "column_buffered" else spec.y_batch)
+        tc.local_reads = touches
     return tc
 
 

@@ -23,7 +23,7 @@ from pwadvect.dataflow import (
     pipeline_cycles,
     pipeline_latency,
 )
-from pwadvect.grid import GeneratorSpec, fill_fields, make_grid, wrap_halos, FieldSet
+from pwadvect.grid import GeneratorSpec, GridDims, fill_fields, wrap_halos, FieldSet
 from pwadvect.kernel import FlopProfile, default_coefficients, run_reference
 from pwadvect.params import ModelParams
 from pwadvect.refdata import GRID_LADDER, GRID_LARGEST, GRID_STRATUS
@@ -120,7 +120,7 @@ def test_criterion_7_functional_equivalence_property():
     cases = _random_cases(100)
     runs = 0
     for nx, ny, nz, seed in cases:
-        dims = make_grid(nx, ny, nz)
+        dims = GridDims(nx, ny, nz)
         fields = fill_fields(dims, GeneratorSpec.random(seed))
         coeffs = default_coefficients(nz)
         ref = run_reference(fields, coeffs)
@@ -152,7 +152,7 @@ def test_criterion_8_symmetry_oracle():
     rng = np.random.default_rng(7)
     checked = 0
     for _ in range(20):
-        dims = make_grid(int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+        dims = GridDims(int(rng.integers(1, 9)), int(rng.integers(1, 9)),
                          int(rng.integers(2, 9)))
         a, b, c = (float(x) for x in rng.normal(size=3))
         tz = float(rng.random()) + 0.1
@@ -173,7 +173,7 @@ def test_criterion_9_traffic_instrumentation():
     rng = np.random.default_rng(99)
     grids = 0
     for _ in range(20):
-        dims = make_grid(int(rng.integers(2, 13)), int(rng.integers(1, 9)),
+        dims = GridDims(int(rng.integers(2, 13)), int(rng.integers(1, 9)),
                          int(rng.integers(2, 9)))
         fields = fill_fields(dims, GeneratorSpec.random(int(rng.integers(0, 1000))))
         coeffs = default_coefficients(dims.nz)
@@ -183,7 +183,7 @@ def test_criterion_9_traffic_instrumentation():
         assert xr.external_reads < yb.external_reads  # nx >= 2 always here
         grids += 1
     # bit-determinism across repeated runs for every thread count
-    dims = make_grid(8, 6, 5)
+    dims = GridDims(8, 6, 5)
     fields = fill_fields(dims, GeneratorSpec.random(3))
     coeffs = default_coefficients(dims.nz)
     for variant in ("reference", "column_buffered", "y_batched", "x_reordered"):
@@ -199,9 +199,9 @@ def test_criterion_10_calibration_round_trip():
     truth = MemoryModel(eff_bandwidth_1=3.14e9, contention=0.8)
     pipe = PipelineSpec(70, 1, 300e6)
     obs = [(dims, engines, kernel_time(dims, pipe, truth, 32, engines))
-           for dims, engines in ((make_grid(128, 128, 32), 1),
-                                 (make_grid(512, 256, 32), 4),
-                                 (make_grid(768, 512, 32), 9))]
+           for dims, engines in ((GridDims(128, 128, 32), 1),
+                                 (GridDims(512, 256, 32), 4),
+                                 (GridDims(768, 512, 32), 9))]
     fitted = calibrate(obs, pipe, 32).model
     assert abs(fitted.eff_bandwidth_1 - truth.eff_bandwidth_1) / truth.eff_bandwidth_1 <= 1e-6
     assert abs(fitted.contention - truth.contention) / truth.contention <= 1e-6

@@ -1,5 +1,5 @@
 """Layer microbenchmarks: kernel blocks (compiled and numpy replay), the
-blocked reference run, checksum.
+blocked reference run, whole staged-schedule runs, checksum.
 
 pyproject.toml sets --benchmark-disable, so in the normal suite each runs
 once as a plain test. Time them with:
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pwadvect import kernel
-from pwadvect.grid import GeneratorSpec, checksum, fill_fields, make_grid
+from pwadvect.grid import GeneratorSpec, GridDims, checksum, fill_fields
 from pwadvect.kernel import (
     BoundBlock,
     compute_block,
@@ -19,13 +19,14 @@ from pwadvect.kernel import (
     grid_roles,
     run_reference,
 )
+from pwadvect.schedules import ScheduleSpec, compare_outputs, run_schedule
 
 GRID = (128, 128, 64)
 
 
 @pytest.fixture(scope="module")
 def case():
-    dims = make_grid(*GRID)
+    dims = GridDims(*GRID)
     return dims, fill_fields(dims, GeneratorSpec.random(1)), default_coefficients(dims.nz)
 
 
@@ -66,6 +67,15 @@ def test_bench_compute_block_x_reordered_block(benchmark, case):
     benchmark(compute_block, block, 1, 2)
     assert all(a[1, :, 1:].any() and not a[1, :, 0].any() and not a[[0, 2, 3]].any()
                for a in out)
+
+
+@pytest.mark.parametrize("variant", ["column_buffered", "y_batched"])
+def test_bench_run_schedule_staged(benchmark, case, variant):
+    # one whole 1-engine run, y_batch = 64: a block bound per Y row
+    # (column_buffered) or Y batch, and 17 role rows staged per X step
+    dims, fields, coeffs = case
+    out, _, _ = benchmark(run_schedule, fields, coeffs, ScheduleSpec(variant, 64))
+    assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
 
 
 def test_bench_run_reference(benchmark, case):

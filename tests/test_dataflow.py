@@ -17,7 +17,7 @@ from pwadvect.dataflow import (
     pipeline_cycles,
     pipeline_latency,
 )
-from pwadvect.grid import make_grid
+from pwadvect.grid import GridDims
 from pwadvect.kernel import FlopProfile
 from pwadvect.params import ModelParams
 from pwadvect.refdata import GRID_LADDER, GRID_LARGEST, ladder_model_ms
@@ -74,10 +74,10 @@ def test_pipeline_latency_retiming():
 
 
 def test_kernel_compute_cycles():
-    g = make_grid(512, 512, 64)
+    g = GridDims(512, 512, 64)
     assert kernel_compute_cycles(g, PipelineSpec(71, 1, 310e6), 64) == 512 * 8 * 4167
     assert kernel_compute_cycles(g, PipelineSpec(71, 2, 310e6), 1) == 512 * 512 * 199
-    one_batch = make_grid(1, 8, 16)
+    one_batch = GridDims(1, 8, 16)
     assert kernel_compute_cycles(one_batch, PipelineSpec(10, 1, 1e8), 8) \
         == pipeline_cycles(PipelineSpec(10, 1, 1e8), 8 * 16).total_cycles
     with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ def test_kernel_compute_cycles():
 
 
 def test_kernel_memory_bytes_and_proportionality():
-    g = make_grid(512, 512, 64)
+    g = GridDims(512, 512, 64)
     mem = MemoryModel(eff_bandwidth_1=2e9)
     assert kernel_memory_bytes(g, mem, 64) == 805_306_368
     t1 = kernel_memory_seconds(g, mem, 64)
@@ -116,10 +116,10 @@ def test_kernel_time_compute_bound_limit():
 
 
 def test_kernel_time_monotone_in_engines_and_cells():
-    times = [kernel_time(make_grid(1012, 1024, 64), PARAMS.pipeline, PARAMS.memory,
+    times = [kernel_time(GridDims(1012, 1024, 64), PARAMS.pipeline, PARAMS.memory,
                          PARAMS.y_batch, e) for e in range(1, 13)]
     assert all(a >= b for a, b in zip(times, times[1:]))
-    grids = [make_grid(n, n, 64) for n in (64, 128, 256, 512, 1024)]
+    grids = [GridDims(n, n, 64) for n in (64, 128, 256, 512, 1024)]
     sizes = [kernel_time(g, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 4)
              for g in grids]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
@@ -127,7 +127,7 @@ def test_kernel_time_monotone_in_engines_and_cells():
 
 def test_engine_share_is_widest_slab():
     for nx in range(1, 41):
-        dims = make_grid(nx, 2, 2)
+        dims = GridDims(nx, 2, 2)
         for engines in range(1, nx + 1):
             widest = max(s.width for s in partition_domain(dims, engines))
             assert _engine_share(dims, engines).nx == widest
@@ -144,7 +144,7 @@ def _error(call):
 def test_model_and_schedules_agree_on_legality():
     verdicts = set()
     for nx, ny in ((1, 1), (3, 16), (12, 64), (16, 8)):
-        dims = make_grid(nx, ny, 4)
+        dims = GridDims(nx, ny, 4)
         for engines in (-1, 0, 1, 2, nx, nx + 1, 13):
             for y_batch in (-1, 0, 1, 8, ny, ny + 1, 64):
                 model = _error(lambda: kernel_time(dims, PARAMS.pipeline, PARAMS.memory,
@@ -171,8 +171,8 @@ def test_calibrate_round_trip_recovers_parameters():
     truth = MemoryModel(eff_bandwidth_1=2.3e9, contention=0.87)
     pipe = PipelineSpec(72, 1, 310e6)
     obs = []
-    for dims, engines in ((make_grid(256, 256, 64), 1), (make_grid(640, 512, 64), 6),
-                          (make_grid(1024, 1024, 64), 12)):
+    for dims, engines in ((GridDims(256, 256, 64), 1), (GridDims(640, 512, 64), 6),
+                          (GridDims(1024, 1024, 64), 12)):
         obs.append((dims, engines, kernel_time(dims, pipe, truth, 64, engines)))
     fitted = calibrate(obs, pipe, 64).model
     assert fitted.eff_bandwidth_1 == pytest.approx(truth.eff_bandwidth_1, rel=1e-6)
@@ -182,10 +182,10 @@ def test_calibrate_round_trip_recovers_parameters():
 def test_calibrate_degenerate_sets_rejected():
     pipe = PipelineSpec(72, 1, 310e6)
     with pytest.raises(ValueError):
-        calibrate([(make_grid(64, 64, 64), 1, 1.0)], pipe, 64)
+        calibrate([(GridDims(64, 64, 64), 1, 1.0)], pipe, 64)
     # engines 1 and 2 fall in the same controller group: singular
     with pytest.raises(ValueError):
-        calibrate([(make_grid(64, 64, 64), 1, 1.0), (make_grid(64, 64, 64), 2, 0.6)],
+        calibrate([(GridDims(64, 64, 64), 1, 1.0), (GridDims(64, 64, 64), 2, 0.6)],
                   pipe, 64)
 
 

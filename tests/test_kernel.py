@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pwadvect import kernel
-from pwadvect.grid import GeneratorSpec, checksum, fill_fields, make_grid, wrap_halos, zeros_sources
+from pwadvect.grid import GeneratorSpec, GridDims, checksum, fill_fields, wrap_halos, zeros_sources
 from pwadvect.kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
@@ -55,7 +55,7 @@ def evaluate(coeffs, roles, out):
 
 
 def test_zero_fields_zero_everywhere():
-    dims = make_grid(4, 3, 5)
+    dims = GridDims(4, 3, 5)
     fields = fill_fields(dims, GeneratorSpec.uniform(0, 0, 0))
     coeffs = random_coeffs(dims.nz)
     for op in POINT_OPS:
@@ -66,7 +66,7 @@ def test_zero_fields_zero_everywhere():
 
 def test_uniform_symmetry_cancellation_below_top():
     # tzc1 == tzc2: every term is a difference of identical products
-    dims = make_grid(5, 5, 6)
+    dims = GridDims(5, 5, 6)
     fields = fill_fields(dims, GeneratorSpec.uniform(1.7, -0.3, 2.4))
     coeffs = default_coefficients(dims.nz, 0.25)
     for op in POINT_OPS:
@@ -79,7 +79,7 @@ def test_uniform_symmetry_cancellation_below_top():
 
 def test_top_of_column_hand_value():
     # uniform u=v=w=1, tzc1(nz)=0.25: X and Y cancel, Z = 0.25*1*(1+1) = 0.5
-    dims = make_grid(3, 3, 4)
+    dims = GridDims(3, 3, 4)
     fields = fill_fields(dims, GeneratorSpec.uniform(1, 1, 1))
     coeffs = default_coefficients(dims.nz, 0.25)
     assert advect_point_u(fields, coeffs, 1, 1, dims.nz) == 0.5
@@ -89,7 +89,7 @@ def test_top_of_column_hand_value():
 
 def test_top_of_column_closed_forms():
     a, b, c = 1.25, -0.75, 2.5
-    dims = make_grid(4, 4, 5)
+    dims = GridDims(4, 4, 5)
     fields = fill_fields(dims, GeneratorSpec.uniform(a, b, c))
     coeffs = default_coefficients(dims.nz, 0.25)
     t1 = float(coeffs.tzc1[-1])
@@ -102,7 +102,7 @@ def test_top_of_column_closed_forms():
 
 
 def test_uniform_sources_nonzero_only_at_top():
-    dims = make_grid(6, 4, 5)
+    dims = GridDims(6, 4, 5)
     fields = fill_fields(dims, GeneratorSpec.uniform(1.0, 2.0, 3.0))
     src = run_reference(fields, default_coefficients(dims.nz))
     for s in (src.su, src.sv, src.sw):
@@ -111,7 +111,7 @@ def test_uniform_sources_nonzero_only_at_top():
 
 
 def test_point_ops_match_run_reference_bitwise():
-    dims = make_grid(5, 4, 6)
+    dims = GridDims(5, 4, 6)
     fields = fill_fields(dims, GeneratorSpec.random(7))
     coeffs = random_coeffs(dims.nz)
     src = run_reference(fields, coeffs)
@@ -126,7 +126,7 @@ def test_point_ops_match_run_reference_bitwise():
 def test_dual_implementation_oracle_bitwise():
     rng = np.random.default_rng(5)
     for _ in range(5):
-        dims = make_grid(int(rng.integers(1, 10)), int(rng.integers(1, 10)),
+        dims = GridDims(int(rng.integers(1, 10)), int(rng.integers(1, 10)),
                          int(rng.integers(2, 10)))
         fields = fill_fields(dims, GeneratorSpec.random(int(rng.integers(0, 10_000))))
         coeffs = random_coeffs(dims.nz, seed=int(rng.integers(0, 10_000)))
@@ -138,7 +138,7 @@ def test_dual_implementation_oracle_bitwise():
 
 def test_reference_golden_checksums():
     # golden digests were produced by the naive transcription (tests/goldens.json)
-    dims = make_grid(8, 8, 8)
+    dims = GridDims(8, 8, 8)
     fields = fill_fields(dims, GeneratorSpec.random(42))
     src = run_reference(fields, default_coefficients(dims.nz))
     assert checksum(src.su) == GOLDENS["sources"]["su"]
@@ -147,7 +147,7 @@ def test_reference_golden_checksums():
 
 
 def test_bottom_level_zero():
-    dims = make_grid(6, 6, 3)
+    dims = GridDims(6, 6, 3)
     fields = fill_fields(dims, GeneratorSpec.random(9))
     src = run_reference(fields, random_coeffs(dims.nz))
     for s in (src.su, src.sv, src.sw):
@@ -167,7 +167,7 @@ def _shift_fields(fields, sx, sy):
 
 @pytest.mark.parametrize("sx,sy", [(1, 0), (0, 1), (3, 2)])
 def test_translation_equivariance(sx, sy):
-    dims = make_grid(6, 5, 4)
+    dims = GridDims(6, 5, 4)
     fields = fill_fields(dims, GeneratorSpec.random(13))
     coeffs = random_coeffs(dims.nz)
     base = run_reference(fields, coeffs)
@@ -193,20 +193,20 @@ def test_flop_profile_and_flops():
     assert default.total_per_cell == 53
     assert default.adds_per_cell == 21 and default.muls_per_cell == 32
     # 268.3M cells at 53 ops/cell is consistent with 14.36 GFLOP/s over 0.990 s
-    total = make_grid(2047, 2048, 64).cells * 53
+    total = GridDims(2047, 2048, 64).cells * 53
     assert total == pytest.approx(1.422e10, rel=1e-3)
     assert total / 14.36e9 == pytest.approx(0.990, rel=1e-3)
 
 
 def test_run_reference_rejects_mismatched_coefficients():
-    dims = make_grid(3, 3, 4)
+    dims = GridDims(3, 3, 4)
     fields = fill_fields(dims, GeneratorSpec.uniform(1, 1, 1))
     with pytest.raises(ValueError):
         run_reference(fields, default_coefficients(dims.nz + 1))
 
 
 def test_nz2_grid_only_top_branch():
-    dims = make_grid(3, 3, 2)
+    dims = GridDims(3, 3, 2)
     fields = fill_fields(dims, GeneratorSpec.random(3))
     coeffs = random_coeffs(dims.nz)
     ref = run_reference(fields, coeffs)
@@ -252,7 +252,7 @@ BLOCK_CASES = [
 
 @pytest.mark.parametrize("grid,block_cells,expected", BLOCK_CASES)
 def test_block_edges_bitwise_equal_to_oracle(monkeypatch, grid, block_cells, expected):
-    dims = make_grid(*grid)
+    dims = GridDims(*grid)
     fields = fill_fields(dims, GeneratorSpec.random(17))
     coeffs = random_coeffs(dims.nz)
     calls, blocks = _block_shapes(monkeypatch, block_cells)
@@ -267,7 +267,7 @@ def test_block_edges_bitwise_equal_to_oracle(monkeypatch, grid, block_cells, exp
 @pytest.mark.parametrize("block_cells,expected", [(3 * 64, [(3, 8)] * 2 + [(2, 8)]),
                                                   (3 * 8, [(1, 3), (1, 3), (1, 2)] * 8)])
 def test_block_edges_reproduce_goldens(monkeypatch, block_cells, expected):
-    dims = make_grid(8, 8, 8)
+    dims = GridDims(8, 8, 8)
     fields = fill_fields(dims, GeneratorSpec.random(42))
     calls, blocks = _block_shapes(monkeypatch, block_cells)
     src = run_reference(fields, default_coefficients(dims.nz))
@@ -280,7 +280,7 @@ def test_block_edges_reproduce_goldens(monkeypatch, block_cells, expected):
 def test_reference_schedule_blocks_each_slab(monkeypatch):
     # nx = 10 over 3 engines gives slabs of 4, 3, 3 columns, one compute_block
     # call each; the replay's 2-plane blocks leave a ragged last block in two
-    dims = make_grid(10, 4, 5)
+    dims = GridDims(10, 4, 5)
     fields = fill_fields(dims, GeneratorSpec.random(23))
     coeffs = random_coeffs(dims.nz)
     calls, blocks = _block_shapes(monkeypatch, 2 * 4 * 5)
@@ -298,7 +298,7 @@ def test_reference_schedule_blocks_each_slab(monkeypatch):
 @pytest.mark.parametrize("grid", [(128, 128, 64), (192, 96, 80),
                                   (16, 1100, 64)])  # one X plane exceeds a block
 def test_reference_extra_memory_within_one_field(grid):
-    dims = make_grid(*grid)
+    dims = GridDims(*grid)
     fields = fill_fields(dims, GeneratorSpec.random(3))
     coeffs = default_coefficients(dims.nz)
     field_bytes = dims.padded_len * 8
@@ -388,7 +388,7 @@ def _count_scratch(monkeypatch):
 ])
 def test_reference_reuses_scratch(monkeypatch, numpy_replay, grid, expected):
     # only the numpy replay evaluates into scratch slots
-    dims = make_grid(*grid)
+    dims = GridDims(*grid)
     fields = fill_fields(dims, GeneratorSpec.uniform(1.0, 2.0, 3.0))
     shapes = _count_scratch(monkeypatch)
     run_reference(fields, default_coefficients(dims.nz))
@@ -426,6 +426,24 @@ def test_first_use_compiles_once_with_exact_flags(monkeypatch, tmp_path):
     # with the state reset, the cached library loads without a compile
     monkeypatch.setattr(kernel, "_lib", kernel._UNBUILT)
     assert kernel.evaluator() == "compiled" and len(compiles) == 1
+
+
+@needs_gcc
+def test_build_removes_superseded_libraries(monkeypatch, tmp_path):
+    # a stale library and another builder's unfinished temporary file; the
+    # listing also names a library that a concurrent build already deleted
+    monkeypatch.setattr(kernel, "_CACHE_DIR", tmp_path)
+    stale = tmp_path / "pwadvect_kernel-0123456789abcdef.so"
+    pending = tmp_path / "tmpbuilder.so.tmp"
+    stale.write_bytes(b"superseded")
+    pending.write_bytes(b"partial")
+    real_glob = Path.glob
+    monkeypatch.setattr(type(tmp_path), "glob", lambda self, pattern: [
+        *real_glob(self, pattern), self / "pwadvect_kernel-fedcba9876543210.so"])
+    assert kernel._build() is not None
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert len(left) == 2 and left[1] == pending.name and pending.read_bytes() == b"partial"
+    assert left[0].startswith("pwadvect_kernel-") and left[0] != stale.name
 
 
 def test_kernel_source_is_the_tapes():
@@ -495,7 +513,7 @@ def test_each_clone_bitwise_equals_replay(monkeypatch, tmp_path, level):
             outs.append(out)
         assert all(_same_bits(a, b) for a, b in zip(*outs))
     # x_reordered binds its roles as ring rows repeated along X with stride 0
-    dims = make_grid(7, 9, 19)
+    dims = GridDims(7, 9, 19)
     fields = fill_fields(dims, GeneratorSpec.random(5))
     for f in (fields.u, fields.v, fields.w):
         flat = f.data.reshape(-1)
@@ -518,7 +536,7 @@ def test_fallback_warns_once_and_stays_bitwise(monkeypatch, tmp_path, cause):
         monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
     else:
         monkeypatch.setattr(kernel, "CFLAGS", (*kernel.CFLAGS, "-no-such-flag"))
-    dims = make_grid(5, 4, 6)
+    dims = GridDims(5, 4, 6)
     fields = fill_fields(dims, GeneratorSpec.random(31))
     coeffs = random_coeffs(dims.nz)
     with warnings.catch_warnings(record=True) as caught:
@@ -576,7 +594,7 @@ def test_compute_block_rejects_bad_arrays(case):
 
 def test_bound_block_outlives_callers_arrays():
     # the block alone holds the roles, outputs and coefficients it addressed
-    dims = make_grid(5, 4, 6)
+    dims = GridDims(5, 4, 6)
     fields = fill_fields(dims, GeneratorSpec.random(29))
     coeffs = random_coeffs(dims.nz)
     ref = run_reference(fields, coeffs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwadvect import kernel, schedules
-from pwadvect.grid import GeneratorSpec, fill_fields, make_grid, wrap_halos
+from pwadvect.grid import GeneratorSpec, GridDims, fill_fields, wrap_halos
 from pwadvect.kernel import AdvectionCoefficients, default_coefficients, run_reference
 from pwadvect.refdata import OPTIMISATION_LADDER
 from pwadvect.schedules import (
@@ -19,7 +19,7 @@ from pwadvect.schedules import (
 
 
 def case(nx=6, ny=5, nz=7, seed=42):
-    dims = make_grid(nx, ny, nz)
+    dims = GridDims(nx, ny, nz)
     fields = fill_fields(dims, GeneratorSpec.random(seed))
     rng = np.random.default_rng(seed + 1)
     coeffs = AdvectionCoefficients(0.25, 0.3, rng.random(nz), rng.random(nz))
@@ -27,15 +27,15 @@ def case(nx=6, ny=5, nz=7, seed=42):
 
 
 def test_partition_examples():
-    assert partition_domain(make_grid(512, 4, 2), 1) == [Slab(1, 513)]
-    slabs = partition_domain(make_grid(512, 4, 2), 4)
+    assert partition_domain(GridDims(512, 4, 2), 1) == [Slab(1, 513)]
+    slabs = partition_domain(GridDims(512, 4, 2), 4)
     assert [s.width for s in slabs] == [128, 128, 128, 128]
-    assert sorted(s.width for s in partition_domain(make_grid(10, 4, 2), 3)) == [3, 3, 4]
+    assert sorted(s.width for s in partition_domain(GridDims(10, 4, 2), 3)) == [3, 3, 4]
 
 
 def test_partition_covers_disjointly():
     for nx in (1, 2, 7, 13):
-        dims = make_grid(nx, 2, 2)
+        dims = GridDims(nx, 2, 2)
         for engines in range(1, nx + 1):
             slabs = partition_domain(dims, engines)
             cells = [i for s in slabs for i in range(s.x_begin, s.x_end)]
@@ -44,7 +44,7 @@ def test_partition_covers_disjointly():
 
 
 def test_partition_rejects_bad_engine_counts():
-    dims = make_grid(4, 4, 4)
+    dims = GridDims(4, 4, 4)
     for engines in (0, 5, -1):
         with pytest.raises(ValueError):
             partition_domain(dims, engines)
@@ -53,7 +53,7 @@ def test_partition_rejects_bad_engine_counts():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ScheduleSpec("nonsense")
-    dims = make_grid(4, 4, 4)
+    dims = GridDims(4, 4, 4)
     with pytest.raises(ValueError):
         ScheduleSpec("reference", y_batch=0).validate(dims)
     with pytest.raises(ValueError):
@@ -102,8 +102,13 @@ def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
 
 
 @pytest.mark.parametrize("evaluator", ["compiled", "numpy"])
-def test_x_reordered_binds_each_ring_phase_once(monkeypatch, evaluator):
-    # 6 x 11 over 3 engines: slabs of 2 columns, Y batches of 4, 4 and 3 rows
+@pytest.mark.parametrize("variant,batch,phases", [("column_buffered", 1, 1),
+                                                  ("y_batched", 4, 1),
+                                                  ("x_reordered", 4, 3)],
+                         ids=["column_buffered", "y_batched", "x_reordered"])
+def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phases, evaluator):
+    # 6 x 11 over 3 engines: slabs of 2 columns; Y batches of 4, 4 and 3
+    # rows, or 11 batches of one row for column_buffered
     if evaluator == "numpy":
         monkeypatch.setattr(kernel, "_lib", None)
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
@@ -127,14 +132,17 @@ def test_x_reordered_binds_each_ring_phase_once(monkeypatch, evaluator):
     monkeypatch.setattr(schedules, "BoundBlock", binding)
     monkeypatch.setattr(schedules, "compute_block", running)
     monkeypatch.setattr(kernel, "_checked_arrays", checking)
-    out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 4, engines=3))
-    assert compare_outputs(out, ref).bitwise_equal
-    # per (engine, Y batch), keyed by the su rows it writes: 3 blocks, one per
-    # ring phase, and one single-row run per X column of the slab
+    out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, batch, engines=3))
+    assert compare_outputs(out, ref) == OutputComparison(True, 0.0, 0)
+    # per (engine, Y batch), keyed by the su rows it writes: one block per
+    # staging phase, checked only at bind, and one single-row run per X
+    # column of the slab
     batches = {}
     for block in binds:
         batches.setdefault(block.arrays[-3].ctypes.data, []).append(block)
-    assert len(batches) == 3 * 3 and len(checks) == len(binds) == 3 * 3 * 3
+    n_batches = 3 * -(-dims.ny // batch)
+    assert len(batches) == n_batches and len(checks) == len(binds) == n_batches * phases
+    assert all(a1 - a0 == 1 for _, a0, a1 in runs)
     for blocks in batches.values():
         rows = sorted((a0, a1) for block, a0, a1 in runs if any(block is b for b in blocks))
         assert rows == [(0, 1), (1, 2)]

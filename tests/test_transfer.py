@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pwadvect.grid import make_grid
+from pwadvect.grid import GridDims
 from pwadvect.params import ModelParams
 from pwadvect.refdata import DMA_TABLE, GRID_LARGEST, GRID_STRATUS
 from pwadvect.transfer import (
@@ -27,7 +27,7 @@ def test_transfer_volume_published_case():
 
 
 def test_transfer_volume_single_cell_and_linearity():
-    tiny = make_grid(1, 1, 2)  # 2 cells
+    tiny = GridDims(1, 1, 2)  # 2 cells
     assert transfer_volume(tiny, "both") == 96
     assert transfer_volume(tiny, "to_card") == 48
     for dims in (tiny, GRID_STRATUS):
