@@ -4,7 +4,7 @@ Composes the kernel model with the DMA model over engine counts and grid
 sizes. Kernel time scales down with engines while the transfer time is
 fixed, so the DMA share climbs toward ~70% at twelve engines on the
 67M-cell case; per-direction microbenchmark rates for the four card wiring
-options are reproduced from their calibration table.
+options are reproduced from the measured table in `refdata.DMA_TABLE`.
 """
 
 from pwadvect import GridDims, dma_time, factor_cells, load_params, scaling_table

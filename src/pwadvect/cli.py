@@ -102,7 +102,7 @@ def _cell(value) -> str:
 
 def _load(args, parser) -> ModelParams:
     try:
-        return load_params(getattr(args, "params", None))
+        return load_params(args.params)
     except (ParamError, OSError) as exc:
         parser.error(str(exc))
 
@@ -196,6 +196,9 @@ def _list_parser(cast):
 
 def cmd_sweep(args, parser) -> int:
     p = _load(args, parser)
+    if args.cells_list and (args.grid is not None or args.cells is not None
+                            or len(args.engines) > 1):
+        parser.error("--cells-list takes one --engines value and no --grid or --cells")
     with _usage_errors(parser):
         if args.cells_list:
             points = [(factor_cells(cells), args.engines[0]) for cells in args.cells_list]
@@ -355,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--gen", choices=("uniform", "trig", "random"), default="random")
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--reps", type=int, default=5)
-    _add_common_model_args(bench)
+    bench.add_argument("--out", metavar="FILE", help="write report rows to FILE")
+    bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.set_defaults(func=cmd_bench)
 
     model = subs.add_parser("model", help="predict kernel/DMA/total time for one configuration")
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--engines", type=_list_parser(int), default=[1],
                        metavar="E1,E2,...", help="engine counts")
     sweep.add_argument("--cells-list", type=_list_parser(float), dest="cells_list",
-                       metavar="N1,N2,...", help="grid-size sweep (overrides --engines)")
+                       metavar="N1,N2,...", help="grid-size sweep at one --engines count")
     _add_common_model_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -379,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--obs", metavar="FILE",
                      help='JSON [{"grid": "512x512x64", "engines": 1, "seconds": 0.51}, ...];'
                           " default: built-in published anchors")
-    _add_common_model_args(cal)
+    cal.add_argument("--params", metavar="FILE", help="parameter file (see model-defaults.params)")
+    cal.add_argument("--out", metavar="FILE", help="write the fitted parameter file to FILE")
     cal.set_defaults(func=cmd_calibrate)
 
     val = subs.add_parser("validate", help="check every published-anchor identity; exit 0 iff all hold")

@@ -1,44 +1,38 @@
 """Host <-> card transfer volumes, DMA timing, and end-to-end composition.
 
 Volumes are computed from interior cells (3 fields x 8 bytes each way) in
-decimal GB. DMA rates carry two calibrations: per-topology bandwidths
-anchored at a 1.6 GB microbenchmark, and a single end-to-end rate for whole
-round trips. Kernel and transfer phases are serialized (no overlap).
+decimal GB. Round trips run at the end-to-end rate, the one DMA parameter;
+the per-topology rates follow from the measured times in `refdata.DMA_TABLE`.
+Kernel and transfer phases are serialized (no overlap).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .grid import GridDims
 from .kernel import FlopProfile
 from .dataflow import MemoryModel, PipelineSpec, gflops, kernel_time
 from .refdata import DMA_TABLE, DMA_TABLE_BYTES
 
-# Interconnect wiring options of the measured card, with the measured DMA
-# times (seconds) for a DMA_TABLE_BYTES host-to-card copy.
-DMA_REFERENCE_SECONDS = {topo: ref.value for topo, ref in DMA_TABLE.items()}
-TOPOLOGIES = tuple(DMA_REFERENCE_SECONDS)
-END_TO_END_BANDWIDTH = 5.85e9  # bytes/s, decimal GB convention
+# Bytes/s of each interconnect wiring of the measured card, from its
+# measured time for a DMA_TABLE_BYTES host-to-card copy.
+_TOPOLOGY_RATES = {topo: DMA_TABLE_BYTES / ref.value for topo, ref in DMA_TABLE.items()}
+TOPOLOGIES = tuple(_TOPOLOGY_RATES)
 
 _DIRECTIONS = ("to_card", "from_card", "both")
 
 
 @dataclass(frozen=True)
 class DmaConfig:
-    """Effective bytes/s per wiring topology plus the end-to-end rate."""
+    """The end-to-end host <-> card rate in bytes/s."""
 
-    end_to_end_bandwidth: float = END_TO_END_BANDWIDTH
-    calibration: dict[str, float] = field(default_factory=lambda: {
-        t: DMA_TABLE_BYTES / s for t, s in DMA_REFERENCE_SECONDS.items()})
+    end_to_end_bandwidth: float = 5.85e9  # decimal GB convention
 
     def __post_init__(self):
-        missing = [t for t in TOPOLOGIES if t not in self.calibration]
-        if missing:
-            raise ValueError(f"calibration missing topologies {missing}")
-        if any(bw <= 0 for bw in self.calibration.values()) or self.end_to_end_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
+        if self.end_to_end_bandwidth <= 0:
+            raise ValueError("bandwidth must be positive")
 
 
 def transfer_volume(dims: GridDims, direction: str = "both") -> int:
@@ -55,9 +49,9 @@ def dma_time(nbytes: float, config: DmaConfig, topology: str = "split_banks_4ch"
         raise ValueError("byte count must be >= 0")
     if topology == "end_to_end":
         return nbytes / config.end_to_end_bandwidth
-    if topology not in config.calibration:
+    if topology not in _TOPOLOGY_RATES:
         raise ValueError(f"unknown topology {topology!r}; one of {TOPOLOGIES}")
-    return nbytes / config.calibration[topology]
+    return nbytes / _TOPOLOGY_RATES[topology]
 
 
 @dataclass(frozen=True)

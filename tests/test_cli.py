@@ -236,6 +236,13 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("model", "--cells", "1e308", "--engines", "12") == 2
     assert run_cli("sweep", "--cells-list", "0") == 2
     assert run_cli("sweep", "--cells-list", "1e6", "--engines", ",") == 2
+    # --cells-list sweeps at one engine count and factors its own grids
+    for extra in (("--engines", "1,4"), ("--grid", "8x8x8"), ("--cells", "1e6")):
+        assert run_cli("sweep", "--cells-list", "1e6", *extra) == 2
+    # options that reached no result: bench loads no parameters, and
+    # calibrate writes a parameter file, not report rows
+    assert run_cli("bench", "--grid", "4x4x4", "--params", "x") == 2
+    assert run_cli("calibrate", "--format", "json") == 2
     assert run_cli("model", "--grid", "8x64x8", "--engines", "0") == 2
     assert run_cli("sweep", "--grid", "8x64x8", "--engines", "1,0") == 2
     # more engines than X columns: no engine may be idle

@@ -13,6 +13,8 @@ from pwadvect.params import (
     load_params,
     parse_params_text,
 )
+from pwadvect.refdata import GRID_STRATUS
+from pwadvect.transfer import end_to_end
 
 
 def test_defaults_without_file():
@@ -30,6 +32,19 @@ def test_shipped_file_matches_builtin_defaults():
     assert shipped == builtin
 
 
+@pytest.mark.parametrize("key", sorted(KNOWN_KEYS))
+def test_every_key_reaches_a_result(key, tmp_path):
+    value = params._DEFAULT_KV[key]
+    f = tmp_path / "perturbed.params"
+    f.write_text(f"{key} = {value + 1 if isinstance(value, int) else value * 0.5!r}\n")
+
+    def report(p):
+        return end_to_end(GRID_STRATUS, 12, p.pipeline, p.memory, p.dma, p.y_batch, p.flops,
+                          p.controllers)
+
+    assert report(load_params(f)) != report(load_params())
+
+
 def test_file_overrides(tmp_path):
     f = tmp_path / "tuned.params"
     f.write_text("pipeline.depth = 65  # pre-retiming\nmemory.contention = 0.5\n")
@@ -44,8 +59,14 @@ def test_unknown_key_rejected(tmp_path):
     f.write_text("pipeline.depht = 65\n")
     with pytest.raises(ParamError, match="unknown parameter key"):
         load_params(f)
-    # keys removed from the model: a reporting-only port knob, a published fact
-    for line in ("memory.burst_bytes = 2048", "ref.column_depth = 71"):
+    # keys removed from the model: a reporting-only port knob and published
+    # facts (the op credit and the DMA table), each at its old shipped value
+    for line in ("memory.burst_bytes = 2048", "ref.column_depth = 71",
+                 "flops.adds_per_cell = 21", "flops.muls_per_cell = 32",
+                 "dma.split_banks_4ch = 6896551724.137931",
+                 "dma.one_controller_4ch = 5714285714.285714",
+                 "dma.connected_controllers_4ch = 6694560669.456067",
+                 "dma.one_ch_per_controller = 4678362573.099415"):
         with pytest.raises(ParamError, match="unknown parameter key"):
             parse_params_text(line)
 
@@ -77,7 +98,7 @@ def test_dump_load_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["model.y_batch = 0", "pipeline.depth = -3",
-                                  "model.controllers = 0", "flops.muls_per_cell = 0"])
+                                  "model.controllers = 0", "memory.arrays_per_xstep = 0"])
 def test_int_below_one_rejected(line):
     with pytest.raises(ParamError, match=r"^f\.params:2: .* must be >= 1"):
         parse_params_text("# header\n" + line, source="f.params")
@@ -91,7 +112,7 @@ def test_non_finite_float_rejected(line):
 
 
 @pytest.mark.parametrize("line", ["pipeline.clock_hz = 0", "memory.eff_bandwidth_1 = -1e9",
-                                  "dma.end_to_end_bandwidth = 0", "dma.split_banks_4ch = -1"])
+                                  "dma.end_to_end_bandwidth = 0", "pipeline.clock_hz = -1"])
 def test_non_positive_clock_or_bandwidth_rejected(line):
     with pytest.raises(ParamError, match=r"^f\.params:1: .* must be > 0"):
         parse_params_text(line, source="f.params")

@@ -6,8 +6,6 @@ from pwadvect.grid import GridDims
 from pwadvect.params import ModelParams
 from pwadvect.refdata import DMA_TABLE, GRID_LARGEST, GRID_STRATUS
 from pwadvect.transfer import (
-    DMA_REFERENCE_SECONDS,
-    TOPOLOGIES,
     DmaConfig,
     dma_time,
     end_to_end,
@@ -47,12 +45,6 @@ def test_dma_table_reproduced_exactly():
         dma_time(-1.0, cfg)
 
 
-def test_dma_default_calibration_derivation():
-    cfg = DmaConfig()
-    for topo in TOPOLOGIES:
-        assert cfg.calibration[topo] == 1.6e9 / DMA_REFERENCE_SECONDS[topo]
-
-
 def test_dma_time_additive():
     cfg = DmaConfig()
     for a, b in ((1.0e9, 0.6e9), (12.5, 99.5), (0.0, 3e10)):
@@ -66,8 +58,6 @@ def test_dma_round_trip_headline():
 
 
 def test_dma_config_validation():
-    with pytest.raises(ValueError):
-        DmaConfig(calibration={"split_banks_4ch": 1.0})
     with pytest.raises(ValueError):
         DmaConfig(end_to_end_bandwidth=0.0)
 
