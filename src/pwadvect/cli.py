@@ -109,10 +109,11 @@ def _load(args, parser) -> ModelParams:
 
 @contextmanager
 def _usage_errors(parser):
-    """Report a ValueError or OverflowError from a configuration check as exit 2."""
+    """Report a ValueError or OverflowError from a configuration check, or an
+    OSError from writing an --out file, as exit 2."""
     try:
         yield
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         parser.error(str(exc))
 
 
@@ -169,7 +170,8 @@ def cmd_bench(args, parser) -> int:
     digests = {(r["checksum_su"], r["checksum_sv"], r["checksum_sw"]) for r in rows}
     if len(digests) > 1:
         failures.append("schedules disagree on output checksums")
-    _write_rows(rows, BENCH_COLUMNS, args.out, args.format)
+    with _usage_errors(parser):
+        _write_rows(rows, BENCH_COLUMNS, args.out, args.format)
     for msg in failures:
         print(f"FAIL {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -181,7 +183,7 @@ def cmd_model(args, parser) -> int:
     p = _load(args, parser)
     with _usage_errors(parser):
         row = _model_row(p, _resolve_dims(args, parser), args.engines)
-    _write_rows([row], MODEL_COLUMNS, args.out, args.format)
+        _write_rows([row], MODEL_COLUMNS, args.out, args.format)
     return 0
 
 
@@ -206,7 +208,7 @@ def cmd_sweep(args, parser) -> int:
             dims = _resolve_dims(args, parser)
             points = [(dims, engines) for engines in args.engines]
         rows = [_model_row(p, dims, engines) for dims, engines in points]
-    _write_rows(rows, MODEL_COLUMNS, args.out, args.format)
+        _write_rows(rows, MODEL_COLUMNS, args.out, args.format)
     return 0
 
 
@@ -248,7 +250,8 @@ def cmd_calibrate(args, parser) -> int:
         print(f"  obs {dims.nx}x{dims.ny}x{dims.nz} engines={engines} "
               f"observed={seconds:.6g}s residual={resid:+.3e}")
     if args.out:
-        Path(args.out).write_text(dump_params(replace(p, memory=result.model)))
+        with _usage_errors(parser):
+            Path(args.out).write_text(dump_params(replace(p, memory=result.model)))
         print(f"wrote fitted parameters to {args.out}")
     return 0
 

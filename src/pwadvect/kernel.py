@@ -149,9 +149,10 @@ COMPUTE_ROLES: tuple[tuple[str, int, int], ...] = tuple(
 # operand list
 #     [tcx, tcy, tzc1_k, tzc2_k, *15 field operands, result, *slots]
 # Temporaries are given scratch slots by liveness and the last operation
-# writes the result, so a block is evaluated by `out=` ufunc calls into
-# reused buffers and the caller's output. Each element still sees the same
-# IEEE operations in the same order as the written formula.
+# writes the result, so the numpy replay evaluates a block by `out=` ufunc
+# calls into slot buffers its BoundBlock keeps and into the block's outputs.
+# Each element still sees the same IEEE operations in the same order as the
+# written formula.
 
 _NCOEFS = 4
 _NLEAVES = _NCOEFS + 15
@@ -383,9 +384,8 @@ def _checked_arrays(coeffs: AdvectionCoefficients, roles: dict, out) -> list:
         raise ValueError(f"out must hold su, sv, sw; got {len(out)} arrays")
     arrays += out
     shape = getattr(arrays[0], "shape", ())
-    if not 1 <= len(shape) <= 3:
-        raise ValueError(f"role arrays must be shaped (..., nz) with at most two "
-                         f"leading axes, got shape {shape}")
+    if len(shape) != 3:
+        raise ValueError(f"role arrays must be shaped (n0, n1, nz), got shape {shape}")
     if shape[-1] != coeffs.nz or coeffs.nz < 2:
         raise ValueError(f"role arrays have nz = {shape[-1]}, coefficients {coeffs.nz} "
                          "(need equal, >= 2)")
@@ -410,26 +410,24 @@ class BoundBlock:
     """A block's arrays, checked and addressed once, for `compute_block` to run.
 
     `roles` maps each key in COMPUTE_ROLES to a float64 array shaped
-    (..., nz), with a common leading shape (n0, n1), (n1,) or () and unit
-    stride along k; any leading stride, 0 included, is allowed. `out` is
-    (su, sv, sw), writeable arrays of that shape; levels k >= 2 are
-    written and level k = 1 is left as it is. A bad role or output raises
-    ValueError. No output may overlap a role or another output: the
-    compiled kernel runs the k loop in SIMD lanes on that promise, and it
-    is not checked (every caller writes into a SourceSet of its own).
-    The compiled kernel reads the arrays in place; the numpy replay (no
-    compiler) evaluates blocks of at most BLOCK_CELLS cells into scratch
-    slots kept in `scratch`, a dict the caller owns and may share between
-    blocks, one `new_scratch` per block shape, so blocks run concurrently
-    need one each. The block holds every array it addressed, so it stays
-    valid after the caller drops `roles` and `out`.
+    (n0, n1, nz) with unit stride along k; any leading stride, 0 included,
+    is allowed. `out` is (su, sv, sw), writeable arrays of that shape;
+    levels k >= 2 are written and level k = 1 is left as it is. A bad role
+    or output raises ValueError, and so do coefficients of another length
+    than nz. No output may overlap a role or another output: the compiled
+    kernel runs the k loop in SIMD lanes on that promise, and it is not
+    checked (every caller writes into a SourceSet of its own). The compiled
+    kernel reads the arrays in place; the numpy replay (no compiler)
+    evaluates blocks of at most BLOCK_CELLS cells into scratch slots the
+    block keeps, one `new_scratch` per replayed shape, so one thread at a
+    time may run a block. The block holds every array it addressed, so it
+    stays valid after the caller drops `roles` and `out`.
     """
 
-    def __init__(self, coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict):
-        self.coeffs, self.scratch, self.lib = coeffs, scratch, _compiled()
-        # the 17 roles, then su, sv, sw, each viewed as (n0, n1, nz)
-        self.arrays = tuple(arr[(None,) * (3 - arr.ndim)]
-                            for arr in _checked_arrays(coeffs, roles, out))
+    def __init__(self, coeffs: AdvectionCoefficients, roles: dict, out):
+        self.coeffs, self.scratch, self.lib = coeffs, {}, _compiled()
+        # the 17 roles, then su, sv, sw
+        self.arrays = tuple(_checked_arrays(coeffs, roles, out))
         if self.lib is not None:
             desc = np.array([(arr.ctypes.data, *arr.strides[:2]) for arr in self.arrays],
                             dtype=np.int64)
@@ -487,11 +485,12 @@ def _replay(tapes, coefs, roles, ks, out, k, slots) -> None:
             ufunc(vals[a], vals[b], vals[d])  # third argument is `out`
 
 
-def grid_roles(fields: FieldSet, x0: int, x1: int, j0: int, j1: int) -> dict:
-    """Role views over interior columns i in [x0, x1), j in [j0, j1) (1-based)."""
+def grid_roles(fields: FieldSet, x0: int, x1: int) -> dict:
+    """Role views over interior columns i in [x0, x1) (1-based) and every interior j."""
     arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
+    ny = fields.dims.ny
     return {
-        (f, dx, dy): arrs[f][x0 + dx : x1 + dx, j0 + dy : j1 + dy, :]
+        (f, dx, dy): arrs[f][x0 + dx : x1 + dx, 1 + dy : ny + 1 + dy, :]
         for f, dx, dy in COMPUTE_ROLES
     }
 
@@ -500,18 +499,15 @@ def run_slab(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
              x0: int, x1: int) -> None:
     """Evaluate interior columns i in [x0, x1) into `out`, in one compute_block call."""
     ny = fields.dims.ny
-    block = BoundBlock(coeffs, grid_roles(fields, x0, x1, 1, ny + 1),
-                       tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)), {})
+    block = BoundBlock(coeffs, grid_roles(fields, x0, x1),
+                       tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)))
     compute_block(block, 0, x1 - x0)
 
 
 def run_reference(fields: FieldSet, coeffs: AdvectionCoefficients) -> SourceSet:
     """Reference execution over the whole grid; pure function of its inputs."""
-    dims = fields.dims
-    if coeffs.nz != dims.nz:
-        raise ValueError(f"coefficient length {coeffs.nz} != nz {dims.nz}")
-    out = zeros_sources(dims)
-    run_slab(fields, coeffs, out, 1, dims.nx + 1)
+    out = zeros_sources(fields.dims)
+    run_slab(fields, coeffs, out, 1, fields.dims.nx + 1)
     return out
 
 

@@ -118,7 +118,6 @@ def _run_staged_slab(fields, coeffs, out, slab, tc, stage, batch):
     """Per Y batch, bind one block per staging phase; per X step, stage, then run one row."""
     nz, ny = fields.dims.nz, fields.dims.ny
     arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
-    scratch = {}
     for j0 in range(1, ny + 1, batch):
         bw = min(batch, ny + 1 - j0)
         copies, phases, lag = stage(arrs, j0, bw, nz)
@@ -126,7 +125,7 @@ def _run_staged_slab(fields, coeffs, out, slab, tc, stage, batch):
         # repeated along X (stride 0), so plane x runs row x - x_begin
         outs = [f.data[slab.x_begin : slab.x_end, j0 : j0 + bw] for f in (out.su, out.sv, out.sw)]
         blocks = [BoundBlock(coeffs, {role: np.broadcast_to(rows, (slab.width, bw, nz))
-                                      for role, rows in roles.items()}, outs, scratch)
+                                      for role, rows in roles.items()}, outs)
                   for roles in phases]
         for i in range(slab.x_begin - lag, slab.x_end + lag):
             for dst, src, dx in copies[i % len(copies)]:
@@ -167,8 +166,6 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
     X slab of the output, so results are independent of worker interleaving.
     """
     dims = fields.dims
-    if coeffs.nz != dims.nz:
-        raise ValueError(f"coefficient length {coeffs.nz} != nz {dims.nz}")
     spec.validate(dims)
     slabs = partition_domain(dims, spec.engines)
     out = zeros_sources(dims)

@@ -39,10 +39,10 @@ def test_bench_compute_block_one_block(benchmark, case):
     if kernel.evaluator() == "numpy":
         planes = kernel.BLOCK_CELLS // (dims.ny * dims.nz)
         assert planes * dims.ny * dims.nz == kernel.BLOCK_CELLS
-    roles = grid_roles(fields, 1, 1 + planes, 1, dims.ny + 1)
+    roles = grid_roles(fields, 1, 1 + planes)
     out = tuple(np.zeros((planes, dims.ny, dims.nz)) for _ in range(3))
     # bound and run once per call, as run_slab does
-    benchmark(lambda: compute_block(BoundBlock(coeffs, roles, out, {}), 0, planes))
+    benchmark(lambda: compute_block(BoundBlock(coeffs, roles, out), 0, planes))
     assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
 
 
@@ -63,7 +63,7 @@ def test_bench_compute_block_x_reordered_block(benchmark, case):
     roles = {(f, dx, dy): np.broadcast_to(rings[f][1 + dx, 1 + dy : 65 + dy], (4, 64, dims.nz))
              for f, dx, dy in kernel.COMPUTE_ROLES}
     out = tuple(np.zeros((4, 64, dims.nz)) for _ in range(3))
-    block = BoundBlock(coeffs, roles, out, {})
+    block = BoundBlock(coeffs, roles, out)
     benchmark(compute_block, block, 1, 2)
     assert all(a[1, :, 1:].any() and not a[1, :, 0].any() and not a[[0, 2, 3]].any()
                for a in out)

@@ -266,6 +266,12 @@ def test_usage_errors_exit_2(tmp_path):
                 {"seconds": float("inf")}, {"engines": 1.9}, {"engines": True}):
         obs.write_text(json.dumps([{**ladder, **bad}, anchor]))
         assert run_cli("calibrate", "--obs", str(obs)) == 2
+    # an --out file that cannot be written
+    missing = str(tmp_path / "no-such-dir" / "out")
+    assert run_cli("bench", "--grid", "4x4x4", "--reps", "1", "--out", missing) == 2
+    assert run_cli("model", "--grid", "64x64x64", "--out", missing) == 2
+    assert run_cli("sweep", "--grid", "64x64x64", "--engines", "1,2", "--out", missing) == 2
+    assert run_cli("calibrate", "--out", missing) == 2
     # bench: invalid schedule specs
     assert run_cli("bench", "--grid", "4x4x4", "--engines", "0") == 2
     assert run_cli("bench", "--grid", "4x4x4", "--y-batch", "0") == 2

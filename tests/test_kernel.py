@@ -50,7 +50,7 @@ def random_coeffs(nz, seed=11):
 
 def evaluate(coeffs, roles, out):
     """Bind a block and run all of it, as the reference run does."""
-    block = BoundBlock(coeffs, roles, out, {})
+    block = BoundBlock(coeffs, roles, out)
     compute_block(block, 0, block.arrays[0].shape[0])
 
 
@@ -321,7 +321,7 @@ SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1.797693134862
 def replay_cases(draw):
     # 19 and 37: nz - 2 mid levels fill two or four 8-lane vectors and a remainder
     nz = draw(st.sampled_from((2, 3, 8, 19, 37)))
-    lead = draw(st.sampled_from(((), (1,), (3, 5))))
+    lead = draw(st.sampled_from(((1, 1), (1, 4), (3, 5))))
     values = st.floats(width=64) | st.sampled_from(SPECIAL)
     roles = {role: draw(hnp.arrays(np.float64, (*lead, nz), elements=values))
              for role in COMPUTE_ROLES}
@@ -576,6 +576,12 @@ def _bad_block(case):
         out[2] = np.zeros((3, 4, nz, 2))[..., 0]
     elif case == "three leading axes":
         roles = {role: np.ones((2, 3, 4, nz)) for role in COMPUTE_ROLES}
+    elif case in ("one leading axis", "no leading axis"):
+        # one row of an (n1, nz) or (nz,) block is in range; the shape is not
+        lead = (4,) if case == "one leading axis" else ()
+        roles = {role: np.ones((*lead, nz)) for role in COMPUTE_ROLES}
+        out = [np.zeros((*lead, nz)) for _ in range(3)]
+        rows = (0, 1)
     elif case == "not an array":
         roles[("u", 0, 0)] = [[[1.0] * nz] * 4] * 3
     return coeffs, roles, tuple(out), rows
@@ -583,13 +589,14 @@ def _bad_block(case):
 
 @pytest.mark.parametrize("case", ["role shape", "role dtype", "role k-stride", "missing role",
                                   "coefficient nz", "read-only output", "output k-stride",
-                                  "three leading axes", "not an array", "rows past the end",
+                                  "three leading axes", "one leading axis", "no leading axis",
+                                  "not an array", "rows past the end",
                                   "negative row", "reversed rows"])
 def test_compute_block_rejects_bad_arrays(case):
     coeffs, roles, out, rows = _bad_block(case)
     with pytest.raises(ValueError):
-        compute_block(BoundBlock(coeffs, roles, out, {}), *rows)
-    assert not any(o.any() for o in out if o.ndim == 3)
+        compute_block(BoundBlock(coeffs, roles, out), *rows)
+    assert not any(o.any() for o in out)
 
 
 def test_bound_block_outlives_callers_arrays():
@@ -600,11 +607,11 @@ def test_bound_block_outlives_callers_arrays():
     ref = run_reference(fields, coeffs)
     out = zeros_sources(dims)
     shape = (dims.nx, dims.ny, dims.nz)
-    roles = {role: view.copy() for role, view in grid_roles(fields, 1, 6, 1, 5).items()}
+    roles = {role: view.copy() for role, view in grid_roles(fields, 1, 6).items()}
     views = tuple(np.zeros(shape) for _ in range(3))
     # strided coefficients, so that the kernel gets contiguous copies of them
     strided = [np.repeat(z, 2)[::2] for z in (coeffs.tzc1, coeffs.tzc2)]
-    block = BoundBlock(AdvectionCoefficients(coeffs.tcx, coeffs.tcy, *strided), roles, views, {})
+    block = BoundBlock(AdvectionCoefficients(coeffs.tcx, coeffs.tcy, *strided), roles, views)
     del roles, views, strided
     gc.collect()
     # take back any buffer freed: role-, coefficient- and descriptor-sized

@@ -85,20 +85,43 @@ def test_engine_count_independence():
                                             ("x_reordered", {4, 3})])
 def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
     # only the numpy replay evaluates into scratch slots
-    # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab, so
-    # one scratch per batch width and slab; every call evaluates one X row
+    # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab; a
+    # block keeps one scratch per shape it replays, and every call
+    # evaluates one X row of its batch, so each block that runs makes one
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
-    real = kernel.new_scratch
-    calls = []
+    real_scratch, real_bind = kernel.new_scratch, schedules.BoundBlock
+    calls, blocks, runs = [], [], []
 
     def counting(shape):
         calls.append(shape)
-        return real(shape)
+        return real_scratch(shape)
+
+    def binding(*args):
+        blocks.append(real_bind(*args))
+        return blocks[-1]
+
+    def running(block, a0, a1):
+        runs.append(block)
+        return kernel.compute_block(block, a0, a1)
 
     monkeypatch.setattr(kernel, "new_scratch", counting)
+    monkeypatch.setattr(schedules, "BoundBlock", binding)
+    monkeypatch.setattr(schedules, "compute_block", running)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, 4, engines=3))
-    assert sorted(calls) == sorted([(1, w, dims.nz) for w in widths] * 3)
+    ran = [b for b in blocks if any(b is r for r in runs)]
+    assert len(calls) == len(ran) == sum(len(b.scratch) for b in blocks)
+    assert all(list(b.scratch) == [(1, b.arrays[0].shape[1], dims.nz)] for b in ran)
+    assert {shape[1] for shape in calls} == widths
     assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("engines", [1, 3])
+def test_run_schedule_rejects_mismatched_coefficients(variant, engines):
+    dims, fields, _ = case()
+    for nz in (dims.nz - 1, dims.nz + 1):
+        with pytest.raises(ValueError):
+            run_schedule(fields, default_coefficients(nz), ScheduleSpec(variant, 5, engines))
 
 
 @pytest.mark.parametrize("evaluator", ["compiled", "numpy"])
