@@ -134,7 +134,10 @@ def cmd_bench(args, parser) -> int:
     gen = {"uniform": GeneratorSpec.uniform(1.0, 1.1, 0.9),
            "trig": GeneratorSpec.trig(),
            "random": GeneratorSpec.random(args.seed)}[args.gen]
-    fields = fill_fields(dims, gen)
+    try:
+        fields = fill_fields(dims, gen)
+    except (ValueError, MemoryError) as exc:  # numpy: "array is too big", "Unable to allocate"
+        parser.error(f"cannot allocate the {dims.nx}x{dims.ny}x{dims.nz} fields: {exc}")
     coeffs = default_coefficients(dims.nz)
     rows, failures = [], []
     host = _host_description()

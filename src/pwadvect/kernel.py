@@ -264,10 +264,16 @@ def _c_level(tapes, k: str, ks: dict) -> list[str]:
 def kernel_source() -> str:
     """The C source of the compiled kernel, generated from the formula tapes.
 
-    `pwadvect_block` evaluates columns (a, b), a0 <= a < a1, 0 <= b < n1.
-    `desc` holds (base address, stride 0, stride 1) per array, strides in
-    bytes: the 17 COMPUTE_ROLES in order (r0..r16), then su, sv, sw
-    (o0..o2). Column (a, b) of array n starts at COLUMN(n).
+    `pwadvect_block` runs X steps i0 <= i < i1 of a bound block. Step i
+    makes the `ncopies` staging copies of phase i % phases, then evaluates
+    row a = i - lag, if a >= 0: columns (a, b), 0 <= b < n1, with the
+    descriptor of phase a % phases. `desc` holds per phase (base address,
+    stride 0, stride 1) per array, strides in bytes: the 17 COMPUTE_ROLES
+    in order (r0..r16), then su, sv, sw (o0..o2); column (a, b) of array n
+    starts at COLUMN(n). `copies` holds per phase and copy (destination,
+    source base, source plane stride, dx, bytes); step i copies source
+    plane i + dx. BoundBlock builds both tables, so the C has no staging
+    rule of its own either.
     """
     columns = [f"const double *r{n} = COLUMN({n});  /* {f} {dx:+d} {dy:+d} */"
                for n, (f, dx, dy) in enumerate(COMPUTE_ROLES)]
@@ -284,20 +290,32 @@ def kernel_source() -> str:
     return "\n".join([
         "/* Generated by pwadvect.kernel from the formula tapes; do not edit. */",
         "#include <stdint.h>",
+        "#include <string.h>",
         "",
-        "#define COLUMN(n) ((double *)((char *)(intptr_t)desc[3 * (n)]"
-        " + a * desc[3 * (n) + 1] + b * desc[3 * (n) + 2]))",
+        "#define COPIES(i) (copies + (i) % phases * 5 * ncopies)",
+        "#define DEST(c) ((void *)(intptr_t)(c)[0])",
+        "#define SOURCE(c, i) ((const char *)(intptr_t)(c)[1] + ((i) + (c)[3]) * (c)[2])",
+        f"#define ARRAYS(a) (desc + (a) % phases * 3 * {len(COMPUTE_ROLES) + 3})",
+        "#define COLUMN(n) ((double *)((char *)(intptr_t)arrays[3 * (n)]"
+        " + a * arrays[3 * (n) + 1] + b * arrays[3 * (n) + 2]))",
         "",
         "#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) \\",
         "    && __GNUC__ >= 12",
         '__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))',
         "#endif",
-        "void pwadvect_block(int64_t a0, int64_t a1, int64_t n1, int64_t nz, double tcx,",
-        "                    double tcy, const double *tzc1, const double *tzc2,",
-        "                    const int64_t *desc)",
+        "void pwadvect_block(int64_t i0, int64_t i1, int64_t phases, int64_t lag, int64_t n1,",
+        "                    int64_t nz, double tcx, double tcy, const double *tzc1,",
+        "                    const double *tzc2, const int64_t *desc, int64_t ncopies,",
+        "                    const int64_t *copies)",
         "{",
         "    const int64_t t = nz - 1;",
-        "    for (int64_t a = a0; a < a1; a++) {",
+        "    for (int64_t i = i0, a = i0 - lag; i < i1; i++, a++) {",
+        "        const int64_t *c = COPIES(i);",
+        "        for (int64_t n = 0; n < ncopies; n++, c += 5)",
+        "            memcpy(DEST(c), SOURCE(c, i), (size_t)c[4]);",
+        "        if (a < 0)",
+        "            continue;",
+        "        const int64_t *arrays = ARRAYS(a);",
         "        for (int64_t b = 0; b < n1; b++) {",
         *indent(columns, 3),
         "            #pragma omp simd",
@@ -352,9 +370,8 @@ def _build():
 
 def _declare(lib):
     """`lib` with the argument and result types of pwadvect_block declared."""
-    lib.pwadvect_block.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                                   ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-                                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    lib.pwadvect_block.argtypes = (*[ctypes.c_int64] * 6, ctypes.c_double, ctypes.c_double,
+                                   *[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p)
     lib.pwadvect_block.restype = None
     return lib
 
@@ -399,6 +416,30 @@ def _checked_arrays(coeffs: AdvectionCoefficients, roles: dict, out) -> list:
     return arrays
 
 
+def _checked_copies(copies, phases: int, steps: int) -> tuple:
+    """Per phase, its staging copies (dest, source, dx), once checked."""
+    copies = tuple(tuple(phase) for phase in copies) or ((),) * phases
+    if len(copies) != phases or len({len(phase) for phase in copies}) != 1:
+        raise ValueError(f"copies: need one list per phase ({phases}), all of one length")
+    for dst, src, dx in (copy for phase in copies for copy in phase):
+        if not (isinstance(dst, np.ndarray) and dst.dtype == np.float64
+                and dst.flags.c_contiguous and dst.flags.writeable):
+            raise ValueError("copy destination: need a writeable C-contiguous float64 array")
+        if not (isinstance(src, np.ndarray) and src.dtype == np.float64
+                and src.ndim == dst.ndim + 1 and src.shape[1:] == dst.shape):
+            raise ValueError(f"copy source: need float64 planes of shape {dst.shape}, "
+                             f"got shape {getattr(src, 'shape', None)}")
+        if not isinstance(dx, int):
+            raise ValueError(f"copy dx must be an int, got {dx!r}")
+        # steps 0 .. steps - 1 read source planes dx .. dx + steps - 1
+        if steps and not 0 <= dx <= len(src) - steps:
+            raise ValueError(f"copy source planes [{dx}, {dx + steps}) are outside "
+                             f"its {len(src)} planes")
+        if steps and not src[dx].flags.c_contiguous:
+            raise ValueError("copy source: each plane must be C-contiguous")
+    return copies
+
+
 # Cells per block of the numpy replay: 65,536 cells is 512 KiB per float64
 # temporary, so the replay's operands and scratch slots stay in L2 instead
 # of streaming grid-sized temporaries through DRAM. The compiled kernel
@@ -407,53 +448,86 @@ BLOCK_CELLS = 1 << 16
 
 
 class BoundBlock:
-    """A block's arrays, checked and addressed once, for `compute_block` to run.
+    """A block's arrays and staging copies, checked and addressed once, for
+    `compute_block` to run.
 
-    `roles` maps each key in COMPUTE_ROLES to a float64 array shaped
-    (n0, n1, nz) with unit stride along k; any leading stride, 0 included,
-    is allowed. `out` is (su, sv, sw), writeable arrays of that shape;
-    levels k >= 2 are written and level k = 1 is left as it is. A bad role
-    or output raises ValueError, and so do coefficients of another length
-    than nz. No output may overlap a role or another output: the compiled
-    kernel runs the k loop in SIMD lanes on that promise, and it is not
-    checked (every caller writes into a SourceSet of its own). The compiled
-    kernel reads the arrays in place; the numpy replay (no compiler)
-    evaluates blocks of at most BLOCK_CELLS cells into scratch slots the
-    block keeps, one `new_scratch` per replayed shape, so one thread at a
-    time may run a block. The block holds every array it addressed, so it
-    stays valid after the caller drops `roles` and `out`.
+    `phases` is a sequence of P >= 1 role dicts. Each maps every key in
+    COMPUTE_ROLES to a float64 array shaped (n0, n1, nz) with unit stride
+    along k; any leading stride, 0 included, is allowed. `out` is
+    (su, sv, sw), writeable arrays of that shape; levels k >= 2 are written
+    and level k = 1 is left as it is. `copies` is empty or holds one list
+    of (dest, source, dx) per phase, all of one length: dest a writeable
+    C-contiguous float64 array, source a float64 array of planes of dest's
+    shape along its first axis, each plane C-contiguous. The block runs
+    n0 + lag X steps: step i makes the copies of phase i % P, each from
+    source plane i + dx, then evaluates row i - lag, if that is >= 0, with
+    the roles of phase (i - lag) % P. The reference run is one phase, no
+    copies and lag 0, so step i is row i.
+
+    A bad role, output or copy, a source plane outside its array on any
+    step, or coefficients of another length than nz raise ValueError. No
+    output may overlap a role, a copy or another output, and no copy's
+    destination its source: the compiled kernel runs the k loop in SIMD
+    lanes and copies with memcpy on that promise, and it is not checked
+    (every caller writes into a SourceSet and staging buffers of its own).
+    The compiled kernel reads and copies the arrays in place; the numpy
+    replay (no compiler) evaluates blocks of at most BLOCK_CELLS cells into
+    scratch slots the block keeps, one `new_scratch` per replayed shape
+    shared by its phases, so one thread at a time may run a block. The
+    block holds every array it addressed, so it stays valid after the
+    caller drops `phases`, `out` and `copies`.
     """
 
-    def __init__(self, coeffs: AdvectionCoefficients, roles: dict, out):
-        self.coeffs, self.scratch, self.lib = coeffs, {}, _compiled()
-        # the 17 roles, then su, sv, sw
-        self.arrays = tuple(_checked_arrays(coeffs, roles, out))
+    def __init__(self, coeffs: AdvectionCoefficients, phases, out, copies=(), lag: int = 0):
+        self.coeffs, self.lag, self.scratch, self.lib = coeffs, lag, {}, _compiled()
+        # per phase, the 17 roles, then su, sv, sw
+        self.phases = tuple(tuple(_checked_arrays(coeffs, roles, out)) for roles in phases)
+        if not self.phases:
+            raise ValueError("need at least one phase of roles")
+        if not (isinstance(lag, int) and lag >= 0):
+            raise ValueError(f"lag must be an int >= 0, got {lag!r}")
+        n0, n1, nz = self.phases[0][0].shape
+        self.steps = n0 + lag
+        self.copies = _checked_copies(copies, len(self.phases), self.steps)
         if self.lib is not None:
-            desc = np.array([(arr.ctypes.data, *arr.strides[:2]) for arr in self.arrays],
-                            dtype=np.int64)
+            desc = np.array([[(arr.ctypes.data, *arr.strides[:2]) for arr in arrays]
+                             for arrays in self.phases], dtype=np.int64)
+            ncopies = len(self.copies[0])
+            table = np.array([(dst.ctypes.data, src.ctypes.data, src.strides[0], dx, dst.nbytes)
+                              for phase in self.copies for dst, src, dx in phase],
+                             dtype=np.int64).reshape(len(self.phases), ncopies, 5)
             tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
-            self.keep = (tzc1, tzc2, desc)  # the buffers behind the addresses in args
-            self.args = (*self.arrays[0].shape[1:], coeffs.tcx, coeffs.tcy, tzc1.ctypes.data,
-                         tzc2.ctypes.data, desc.ctypes.data)
+            self.keep = (tzc1, tzc2, desc, table)  # the buffers behind the addresses in args
+            self.args = (len(self.phases), lag, n1, nz, coeffs.tcx, coeffs.tcy,
+                         tzc1.ctypes.data, tzc2.ctypes.data, desc.ctypes.data,
+                         ncopies, table.ctypes.data)
 
 
-def compute_block(block: BoundBlock, a0: int, a1: int) -> None:
-    """Evaluate rows a0 <= a < a1 of a bound block's leading axis into its outputs.
+def compute_block(block: BoundBlock, i0: int, i1: int) -> None:
+    """Run X steps i0 <= i < i1 of a bound block: its copies, then its rows.
 
-    A range outside 0 <= a0 <= a1 <= n0 raises ValueError.
+    A range outside 0 <= i0 <= i1 <= n0 + lag raises ValueError.
     """
-    n0, n1, nz = block.arrays[0].shape
-    if not 0 <= a0 <= a1 <= n0:
-        raise ValueError(f"rows [{a0}, {a1}) are outside the block's {n0} rows")
+    if not 0 <= i0 <= i1 <= block.steps:
+        raise ValueError(f"steps [{i0}, {i1}) are outside the block's {block.steps} steps")
     if block.lib is not None:
-        block.lib.pwadvect_block(a0, a1, *block.args)
+        block.lib.pwadvect_block(i0, i1, *block.args)
         return
-    # the numpy replay, one block of at most BLOCK_CELLS cells at a time
-    planes = max(1, BLOCK_CELLS // (n1 * nz))
+    # the numpy replay: a block that stages runs one step at a time, else
+    # blocks of at most BLOCK_CELLS cells
+    phases, lag = block.phases, block.lag
+    _, n1, nz = phases[0][0].shape
+    staged = len(phases) > 1 or block.copies[0]
+    planes = 1 if staged else max(1, BLOCK_CELLS // (n1 * nz))
     rows = min(n1, max(1, BLOCK_CELLS // nz))
-    for i0 in range(a0, a1, planes):
+    for i in range(i0, i1, planes):
+        for dst, src, dx in block.copies[i % len(phases)]:
+            np.copyto(dst, src[i + dx])
+        a0, a1 = max(i - lag, 0), min(i + planes, i1) - lag
+        if a0 >= a1:
+            continue
         for j0 in range(0, n1, rows):
-            views = [arr[i0 : min(i0 + planes, a1), j0 : j0 + rows] for arr in block.arrays]
+            views = [arr[a0:a1, j0 : j0 + rows] for arr in phases[a0 % len(phases)]]
             _replay_block(block.coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:],
                           block.scratch)
 
@@ -499,7 +573,7 @@ def run_slab(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
              x0: int, x1: int) -> None:
     """Evaluate interior columns i in [x0, x1) into `out`, in one compute_block call."""
     ny = fields.dims.ny
-    block = BoundBlock(coeffs, grid_roles(fields, x0, x1),
+    block = BoundBlock(coeffs, [grid_roles(fields, x0, x1)],
                        tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)))
     compute_block(block, 0, x1 - x0)
 

@@ -86,54 +86,53 @@ class TrafficReport:
         self.scratch_bytes_peak = max(self.scratch_bytes_peak, other.scratch_bytes_peak)
 
 
-# A staging rule lays out the scratch buffers of one Y batch. It returns,
-# per staging phase, the copies that stage X plane i, as (destination,
-# source rows of every X plane, dx) reading source plane i + dx, and the
-# role rows that the phase's block reads; and the lag, in X steps, from
-# staging a plane to computing it. X step i stages with phase i % phases
-# and computes plane i - lag with the block of phase (i - lag) % phases.
+# A staging rule lays out the scratch buffers of one Y batch of a slab. Its
+# sources hold the slab's X planes and one halo plane on each side, so
+# source plane p is X plane x_begin - 1 + p and output row a is source plane
+# a + 1. It returns, per staging phase, the copies that an X step makes, as
+# (destination, source rows of every source plane, dx), and the role rows
+# that the phase's rows read; and the lag, in X steps, from step to row.
+# X step i makes the copies of phase i % phases, each from source plane
+# i + dx, then computes row i - lag with the roles of phase (i - lag) % phases.
 
 
 def _role_rows(arrs, j0, bw, nz):
     """column_buffered, y_batched: the 17 role rows of a plane, staged fresh."""
     rows = {role: np.empty((bw, nz)) for role in COMPUTE_ROLES}
-    copies = [(rows[(f, dx, dy)], arrs[f][:, j0 + dy : j0 + dy + bw], dx)
+    # step i computes row i, which reads source plane i + 1 + dx
+    copies = [(rows[(f, dx, dy)], arrs[f][:, j0 + dy : j0 + dy + bw], dx + 1)
               for f, dx, dy in COMPUTE_ROLES]
     return [copies], [rows], 0
 
 
 def _plane_ring(arrs, j0, bw, nz):
-    """x_reordered: one new plane per field into a 3-slot ring, computed a step later."""
-    # slot i % 3 of a field's ring holds rows j0-1 .. j0+bw of X plane i
+    """x_reordered: one new plane per field into a 3-slot ring, computed two steps later."""
+    # slot i % 3 of a field's ring holds rows j0-1 .. j0+bw of source plane i
     rings = {f: np.empty((3, bw + 2, nz)) for f in arrs}
     copies = [[(ring[p], arrs[f][:, j0 - 1 : j0 + bw + 1], 0) for f, ring in rings.items()]
               for p in range(3)]
-    # plane x, run by phase x % 3, finds plane x + dx in slot (x + dx) % 3
-    roles = [{(f, dx, dy): rings[f][(r + dx) % 3, 1 + dy : 1 + dy + bw]
+    # row a, run by phase a % 3 at step a + 2, finds source plane a + 1 + dx
+    # in slot (a + 1 + dx) % 3
+    roles = [{(f, dx, dy): rings[f][(r + 1 + dx) % 3, 1 + dy : 1 + dy + bw]
               for f, dx, dy in COMPUTE_ROLES} for r in range(3)]
-    return copies, roles, 1
+    return copies, roles, 2
 
 
 def _run_staged_slab(fields, coeffs, out, slab, tc, stage, batch):
-    """Per Y batch, bind one block per staging phase; per X step, stage, then run one row."""
+    """Per Y batch, bind one block over every staging phase and run all its X steps at once."""
     nz, ny = fields.dims.nz, fields.dims.ny
-    arrs = {"u": fields.u.data, "v": fields.v.data, "w": fields.w.data}
+    arrs = {f: getattr(fields, f).data[slab.x_begin - 1 : slab.x_end + 1] for f in "uvw"}
     for j0 in range(1, ny + 1, batch):
         bw = min(batch, ny + 1 - j0)
         copies, phases, lag = stage(arrs, j0, bw, nz)
-        # each block writes the slab's rows and reads its roles' staged rows
-        # repeated along X (stride 0), so plane x runs row x - x_begin
+        # the block writes the slab's rows and reads its roles' staged rows
+        # repeated along X (stride 0)
         outs = [f.data[slab.x_begin : slab.x_end, j0 : j0 + bw] for f in (out.su, out.sv, out.sw)]
-        blocks = [BoundBlock(coeffs, {role: np.broadcast_to(rows, (slab.width, bw, nz))
-                                      for role, rows in roles.items()}, outs)
-                  for roles in phases]
-        for i in range(slab.x_begin - lag, slab.x_end + lag):
-            for dst, src, dx in copies[i % len(copies)]:
-                np.copyto(dst, src[i + dx])
-            a = i - lag - slab.x_begin
-            if a >= 0:
-                compute_block(blocks[(i - lag) % len(blocks)], a, a + 1)
-        staged = (slab.width + 2 * lag) * sum(dst.size for dst, _, _ in copies[0])
+        block = BoundBlock(coeffs, [{role: np.broadcast_to(rows, (slab.width, bw, nz))
+                                     for role, rows in roles.items()} for roles in phases],
+                           outs, copies, lag)
+        compute_block(block, 0, slab.width + lag)
+        staged = (slab.width + lag) * sum(dst.size for dst, _, _ in copies[0])
         tc.external_reads += staged
         tc.local_writes += staged
         tc.scratch_bytes_peak = max(tc.scratch_bytes_peak,

@@ -1,5 +1,6 @@
-"""Layer microbenchmarks: kernel blocks (compiled and numpy replay), the
-blocked reference run, whole staged-schedule runs, checksum.
+"""Layer microbenchmarks: kernel blocks (compiled and numpy replay), one
+staged Y batch, the blocked reference run, whole staged-schedule runs,
+checksum.
 
 pyproject.toml sets --benchmark-disable, so in the normal suite each runs
 once as a plain test. Time them with:
@@ -10,7 +11,7 @@ once as a plain test. Time them with:
 import numpy as np
 import pytest
 
-from pwadvect import kernel
+from pwadvect import kernel, schedules
 from pwadvect.grid import GeneratorSpec, GridDims, checksum, fill_fields
 from pwadvect.kernel import (
     BoundBlock,
@@ -42,7 +43,7 @@ def test_bench_compute_block_one_block(benchmark, case):
     roles = grid_roles(fields, 1, 1 + planes)
     out = tuple(np.zeros((planes, dims.ny, dims.nz)) for _ in range(3))
     # bound and run once per call, as run_slab does
-    benchmark(lambda: compute_block(BoundBlock(coeffs, roles, out), 0, planes))
+    benchmark(lambda: compute_block(BoundBlock(coeffs, [roles], out), 0, planes))
     assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
 
 
@@ -54,19 +55,27 @@ class TestNumpyReplay:
     test_bench_compute_block_one_block = staticmethod(test_bench_compute_block_one_block)
 
 
-def test_bench_compute_block_x_reordered_block(benchmark, case):
-    # one X step of the x_reordered schedule, y_batch = 64: the roles are
-    # rows of one (3, 66, nz) ring of X planes 0..2 per field, repeated
-    # along X, bound once; each step runs one row
+def test_bench_compute_block_x_reordered_block(monkeypatch, benchmark, case):
+    # one whole staged Y batch of the 1-engine x_reordered schedule,
+    # y_batch = 64: the block of the first batch, its three ring phases
+    # bound once, and one call running all nx + 2 X steps, each three plane
+    # copies and then one row
     dims, fields, coeffs = case
-    rings = {f: getattr(fields, f).data[0:3, 0:66].copy() for f in "uvw"}
-    roles = {(f, dx, dy): np.broadcast_to(rings[f][1 + dx, 1 + dy : 65 + dy], (4, 64, dims.nz))
-             for f, dx, dy in kernel.COMPUTE_ROLES}
-    out = tuple(np.zeros((4, 64, dims.nz)) for _ in range(3))
-    block = BoundBlock(coeffs, roles, out)
-    benchmark(compute_block, block, 1, 2)
-    assert all(a[1, :, 1:].any() and not a[1, :, 0].any() and not a[[0, 2, 3]].any()
-               for a in out)
+    runs = []
+
+    def running(block, i0, i1):
+        runs.append((block, i0, i1))
+        return compute_block(block, i0, i1)
+
+    monkeypatch.setattr(schedules, "compute_block", running)
+    ref = run_reference(fields, coeffs)
+    out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 64))
+    block, i0, i1 = runs[0]
+    assert (i0, i1) == (0, dims.nx + 2) and len(block.phases) == 3
+    for arr in block.phases[0][-3:]:
+        arr.fill(0.0)
+    benchmark(compute_block, block, i0, i1)
+    assert compare_outputs(out, ref).bitwise_equal
 
 
 @pytest.mark.parametrize("variant", ["column_buffered", "y_batched"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwadvect import cli
 from pwadvect.cli import _list_parser, _parse_grid, main
 from pwadvect.grid import check_config
 from pwadvect.params import ModelParams
@@ -225,9 +226,16 @@ def test_calibrate_degenerate_observations(tmp_path, capsys):
     assert "contention > 1" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, monkeypatch):
     assert run_cli() == 2
     assert run_cli("bench", "--grid", "not-a-grid") == 2
+    # fields that cannot be allocated: numpy refuses this size before allocating
+    assert run_cli("bench", "--grid", "99999999x99999999x99999999") == 2
+    with monkeypatch.context() as m:
+        def no_memory(dims, spec):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        m.setattr(cli, "fill_fields", no_memory)
+        assert run_cli("bench", "--grid", "8x8x8") == 2
     assert run_cli("bench", "--grid", "4x4x4", "--reps", "0") == 2
     assert run_cli("frobnicate") == 2
     # impossible model configurations: cell counts, engine counts, y_batch > ny

@@ -50,8 +50,7 @@ def random_coeffs(nz, seed=11):
 
 def evaluate(coeffs, roles, out):
     """Bind a block and run all of it, as the reference run does."""
-    block = BoundBlock(coeffs, roles, out)
-    compute_block(block, 0, block.arrays[0].shape[0])
+    compute_block(BoundBlock(coeffs, [roles], out), 0, out[0].shape[0])
 
 
 def test_zero_fields_zero_everywhere():
@@ -223,7 +222,7 @@ def _block_shapes(monkeypatch, block_cells):
     run, replay = kernel.compute_block, kernel._replay_block
 
     def running(block, a0, a1):
-        calls.append((a1 - a0, block.arrays[0].shape[1]))
+        calls.append((a1 - a0, block.phases[0][0].shape[1]))
         return run(block, a0, a1)
 
     def replaying(coeffs, roles, out, scratch):
@@ -595,7 +594,7 @@ def _bad_block(case):
 def test_compute_block_rejects_bad_arrays(case):
     coeffs, roles, out, rows = _bad_block(case)
     with pytest.raises(ValueError):
-        compute_block(BoundBlock(coeffs, roles, out), *rows)
+        compute_block(BoundBlock(coeffs, [roles], out), *rows)
     assert not any(o.any() for o in out)
 
 
@@ -611,15 +610,75 @@ def test_bound_block_outlives_callers_arrays():
     views = tuple(np.zeros(shape) for _ in range(3))
     # strided coefficients, so that the kernel gets contiguous copies of them
     strided = [np.repeat(z, 2)[::2] for z in (coeffs.tzc1, coeffs.tzc2)]
-    block = BoundBlock(AdvectionCoefficients(coeffs.tcx, coeffs.tcy, *strided), roles, views)
+    block = BoundBlock(AdvectionCoefficients(coeffs.tcx, coeffs.tcy, *strided), [roles], views)
     del roles, views, strided
     gc.collect()
     # take back any buffer freed: role-, coefficient- and descriptor-sized
     junk = [np.full(n, np.nan) for n in (np.prod(shape), dims.nz, 3 * 20) for _ in range(40)]
     compute_block(block, 0, dims.nx)
-    for f, src in zip(block.arrays[-3:], (out.su, out.sv, out.sw)):
+    for f, src in zip(block.phases[0][-3:], (out.su, out.sv, out.sw)):
         src.data[1:-1, 1:-1] = f
     assert compare_outputs(ref, out).bitwise_equal
+    del junk
+
+
+UNWRITTEN = -1.25e-300
+
+
+def _staged_block(case=None):
+    """A 3x4 block (nz = 5) whose 17 roles are rows staged per X step from a
+    source of 5 planes, one phase and lag 0: step i copies plane i + 1 + dx
+    into the role's rows. Returns (coeffs, phases, out, copies, unstaged
+    roles), with one defect if `case` names one."""
+    nz, n0, n1 = 5, 3, 4
+    src = np.random.default_rng(3).random((n0 + 2, n1, nz))
+    rows = {role: np.full((n1, nz), UNWRITTEN) for role in COMPUTE_ROLES}
+    copies = [(rows[role], src, role[1] + 1) for role in COMPUTE_ROLES]
+    roles = {role: np.broadcast_to(r, (n0, n1, nz)) for role, r in rows.items()}
+    unstaged = {role: src[role[1] + 1 : role[1] + 1 + n0] for role in COMPUTE_ROLES}
+    out = tuple(np.zeros((n0, n1, nz)) for _ in range(3))
+    first = COMPUTE_ROLES[0]  # ("u", -1, 0): reads planes 0 .. 2
+    if case == "source past the end":
+        copies[0] = (rows[first], src, 3)  # the last step would read plane 5
+    elif case == "source before the start":
+        copies[0] = (rows[first], src, -1)
+    elif case == "strided destination":
+        copies[0] = (np.full((n1, 2 * nz), UNWRITTEN)[:, ::2], src, 0)
+    elif case == "read-only destination":
+        copies[0] = (np.broadcast_to(np.full(nz, UNWRITTEN), (n1, nz)), src, 0)
+    elif case == "source size":
+        copies[0] = (rows[first], np.ones((n0 + 2, n1, nz + 1)), 0)
+    elif case == "strided source plane":
+        copies[0] = (rows[first], src[..., ::-1], 0)
+    per_phase = [copies, copies] if case == "copies per phase" else [copies]
+    return default_coefficients(nz), [roles], out, per_phase, unstaged
+
+
+@pytest.mark.parametrize("case", ["source past the end", "source before the start",
+                                  "strided destination", "read-only destination",
+                                  "source size", "strided source plane", "copies per phase"])
+def test_staged_block_rejects_bad_copies(case):
+    coeffs, phases, out, copies, _ = _staged_block(case)
+    with pytest.raises(ValueError):
+        compute_block(BoundBlock(coeffs, phases, out, copies), 0, 3)
+    assert not any(o.any() for o in out)
+    assert all((dst == UNWRITTEN).all() for phase in copies for dst, _, _ in phase)
+
+
+def test_staged_block_outlives_callers_arrays():
+    # a staged block holds its copies' buffers too; run in one call, it
+    # equals the block bound on the unstaged role planes
+    coeffs, phases, out, copies, unstaged = _staged_block()
+    want = tuple(np.zeros_like(o) for o in out)
+    evaluate(coeffs, unstaged, want)
+    block = BoundBlock(coeffs, phases, out, copies)
+    assert block.steps == 3
+    del phases, out, copies, unstaged
+    gc.collect()
+    # take back any buffer freed: row-, source- and copy-table-sized
+    junk = [np.full(n, np.nan) for n in (4 * 5, 5 * 4 * 5, 17 * 5) for _ in range(40)]
+    compute_block(block, 0, block.steps)
+    assert all(np.array_equal(a, b) for a, b in zip(block.phases[0][-3:], want))
     del junk
 
 
@@ -650,3 +709,6 @@ class TestNumpyReplay:
     test_compute_block_rejects_bad_arrays = staticmethod(test_compute_block_rejects_bad_arrays)
     test_bound_block_outlives_callers_arrays = staticmethod(
         test_bound_block_outlives_callers_arrays)
+    test_staged_block_rejects_bad_copies = staticmethod(test_staged_block_rejects_bad_copies)
+    test_staged_block_outlives_callers_arrays = staticmethod(
+        test_staged_block_outlives_callers_arrays)

@@ -86,8 +86,9 @@ def test_engine_count_independence():
 def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
     # only the numpy replay evaluates into scratch slots
     # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab; a
-    # block keeps one scratch per shape it replays, and every call
-    # evaluates one X row of its batch, so each block that runs makes one
+    # block keeps one scratch per shape it replays, shared by its staging
+    # phases, and every X step evaluates one row of its batch, so each
+    # block makes one
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
     real_scratch, real_bind = kernel.new_scratch, schedules.BoundBlock
     calls, blocks, runs = [], [], []
@@ -100,17 +101,18 @@ def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
         blocks.append(real_bind(*args))
         return blocks[-1]
 
-    def running(block, a0, a1):
+    def running(block, i0, i1):
         runs.append(block)
-        return kernel.compute_block(block, a0, a1)
+        return kernel.compute_block(block, i0, i1)
 
     monkeypatch.setattr(kernel, "new_scratch", counting)
     monkeypatch.setattr(schedules, "BoundBlock", binding)
     monkeypatch.setattr(schedules, "compute_block", running)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, 4, engines=3))
-    ran = [b for b in blocks if any(b is r for r in runs)]
-    assert len(calls) == len(ran) == sum(len(b.scratch) for b in blocks)
-    assert all(list(b.scratch) == [(1, b.arrays[0].shape[1], dims.nz)] for b in ran)
+    assert len(calls) == len(blocks) == len(runs)
+    assert {id(b) for b in blocks} == {id(r) for r in runs}
+    assert {len(b.phases) for b in blocks} == {3 if variant == "x_reordered" else 1}
+    assert all(list(b.scratch) == [(1, b.phases[0][0].shape[1], dims.nz)] for b in blocks)
     assert {shape[1] for shape in calls} == widths
     assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
 
@@ -125,11 +127,12 @@ def test_run_schedule_rejects_mismatched_coefficients(variant, engines):
 
 
 @pytest.mark.parametrize("evaluator", ["compiled", "numpy"])
-@pytest.mark.parametrize("variant,batch,phases", [("column_buffered", 1, 1),
-                                                  ("y_batched", 4, 1),
-                                                  ("x_reordered", 4, 3)],
+@pytest.mark.parametrize("variant,batch,phases,lag", [("column_buffered", 1, 1, 0),
+                                                      ("y_batched", 4, 1, 0),
+                                                      ("x_reordered", 4, 3, 2)],
                          ids=["column_buffered", "y_batched", "x_reordered"])
-def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phases, evaluator):
+def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phases, lag,
+                                               evaluator):
     # 6 x 11 over 3 engines: slabs of 2 columns; Y batches of 4, 4 and 3
     # rows, or 11 batches of one row for column_buffered
     if evaluator == "numpy":
@@ -144,9 +147,9 @@ def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phas
         binds.append(block)
         return block
 
-    def running(block, a0, a1):
-        runs.append((block, a0, a1))
-        return run(block, a0, a1)
+    def running(block, i0, i1):
+        runs.append((block, i0, i1))
+        return run(block, i0, i1)
 
     def checking(*args):
         checks.append(args)
@@ -157,18 +160,15 @@ def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phas
     monkeypatch.setattr(kernel, "_checked_arrays", checking)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, batch, engines=3))
     assert compare_outputs(out, ref) == OutputComparison(True, 0.0, 0)
-    # per (engine, Y batch), keyed by the su rows it writes: one block per
-    # staging phase, checked only at bind, and one single-row run per X
-    # column of the slab
-    batches = {}
-    for block in binds:
-        batches.setdefault(block.arrays[-3].ctypes.data, []).append(block)
+    # per (engine, Y batch), keyed by the su rows it writes: one block
+    # holding every staging phase, each phase checked only at bind, and one
+    # run over all the block's X steps, the slab's 2 columns plus the lag
     n_batches = 3 * -(-dims.ny // batch)
-    assert len(batches) == n_batches and len(checks) == len(binds) == n_batches * phases
-    assert all(a1 - a0 == 1 for _, a0, a1 in runs)
-    for blocks in batches.values():
-        rows = sorted((a0, a1) for block, a0, a1 in runs if any(block is b for b in blocks))
-        assert rows == [(0, 1), (1, 2)]
+    assert len({block.phases[0][-3].ctypes.data for block in binds}) == n_batches
+    assert len(binds) == len(runs) == n_batches and len(checks) == n_batches * phases
+    assert all(len(block.phases) == phases and block.lag == lag for block in binds)
+    # engine threads may interleave, so compare as sets (binds keeps the blocks alive)
+    assert {(id(b), i0, i1) for b, i0, i1 in runs} == {(id(b), 0, 2 + lag) for b in binds}
 
 
 def test_engine_threads_capped_by_cores(monkeypatch):
