@@ -166,7 +166,7 @@ class GeneratorSpec:
         return cls("random", seed=seed)
 
 
-# Values generated per vectorised step of lcg_fill.
+# Values generated per vectorised step of lcg_fill's numpy path.
 _LCG_CHUNK = 1 << 16
 
 
@@ -191,14 +191,39 @@ def lcg_fill(seed: int, arrays) -> None:
     state' = 6364136223846793005*state + 1442695040888963407 mod 2^64,
     value = (state' >> 11) * 2^-53. The first value uses one step from the
     seed, and each array continues the stream where the previous one ended.
-    Evaluated in chunks of at most _LCG_CHUNK values with jump tables built
-    once per call (uint64 arithmetic wraps mod 2^64), so large fields need
-    neither a Python-level loop per element nor a stream-sized array.
+    Each array must be a writeable, aligned, C-contiguous float64 ndarray,
+    else ValueError naming it, raised before any array is filled; an empty
+    list and zero-size arrays are no-ops.
+
+    The stream is generated by `pwadvect_lcg` in the library that holds the
+    compiled kernel (see kernel.kernel_source), loaded or built on the first
+    call that has values to make. Without that library it is evaluated in
+    numpy, in chunks of at most _LCG_CHUNK values with jump tables built once
+    per call (uint64 arithmetic wraps mod 2^64), so large fields need neither
+    a Python-level loop per element nor a stream-sized array. Both give the
+    same bits.
     """
+    arrays = list(arrays)
+    for n, a in enumerate(arrays):
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.aligned and a.flags.writeable):
+            got = (f"{a.dtype} array of shape {a.shape}" if isinstance(a, np.ndarray)
+                   else type(a).__name__)
+            raise ValueError(f"arrays[{n}]: need a writeable, aligned, C-contiguous float64 "
+                             f"ndarray, got {got}")
+    arrays = [a for a in arrays if a.size]
+    if not arrays:
+        return
+    from . import kernel  # kernel imports this module, so look it up per call
+
+    lib, s = kernel._compiled(), seed & _LCG_MASK
+    if lib is not None:
+        table = np.array([(a.ctypes.data, a.size) for a in arrays], dtype=np.int64)
+        lib.pwadvect_lcg(s, len(arrays), table.ctypes.data)
+        return
     flats = [a.reshape(-1) for a in arrays]
     mult, inc = _lcg_jump_tables(min(max(a.size for a in flats), _LCG_CHUNK))
     state = np.empty_like(mult)
-    s = seed & _LCG_MASK
     for flat in flats:
         for lo in range(0, flat.size, _LCG_CHUNK):
             n = min(_LCG_CHUNK, flat.size - lo)

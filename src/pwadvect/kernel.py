@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import FieldSet, SourceSet, zeros_sources
+from .grid import _LCG_INC, _LCG_MULT, FieldSet, SourceSet, _lcg_jump_tables, zeros_sources
 
 
 @dataclass
@@ -229,7 +229,9 @@ def new_scratch(shape) -> tuple[list, list]:
 
 # ---------------------------------------------------------------------------
 # The compiled kernel: kernel_source() emits the tapes as C, so the C has no
-# formula of its own, and gcc builds it on first use, never at import.
+# formula of its own, and gcc builds it on first use, never at import. The
+# same library carries grid.lcg_fill's generator, emitted from grid's
+# recurrence constants.
 # Contraction stays off because a fused multiply-add rounds once where the
 # tape rounds twice. `omp simd` vectorises the mid-level k loop (each lane
 # runs the same operations in the same order, so results stay bitwise); on
@@ -239,7 +241,8 @@ def new_scratch(shape) -> tuple[list, list]:
 # source builds one plain body, still vectorised by the pragma. The library is
 # cached under .bench_build/ by a hash of the source, the flags and the
 # compiler version, and a new build deletes the libraries it supersedes.
-# Without a working gcc, compute_block replays the tapes in numpy.
+# Without a working gcc, compute_block replays the tapes in numpy and
+# lcg_fill generates in numpy.
 
 CFLAGS = ("-O2", "-ffp-contract=off", "-fopenmp-simd", "-fPIC", "-shared")
 _C_OPS = {np.add: "+", np.subtract: "-", np.multiply: "*"}
@@ -261,8 +264,58 @@ def _c_level(tapes, k: str, ks: dict) -> list[str]:
     return lines
 
 
+# On x86-64 with gcc >= 12 and glibc, the loader picks one of these bodies
+# of each function for the CPU.
+_CLONES = ("#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) \\",
+           "    && __GNUC__ >= 12",
+           '__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))',
+           "#endif")
+
+# Values per step of the compiled generator: lane l takes the state l + 1
+# steps on from the step's start, so a step depends on the one before only
+# through its last lane.
+_LCG_LANES = 8
+
+
+def _lcg_source() -> list[str]:
+    """The C lines of `pwadvect_lcg`, the generator of grid.lcg_fill."""
+    mult, inc = _lcg_jump_tables(_LCG_LANES)
+
+    def table(name, values):
+        return (f"static const uint64_t {name}[{_LCG_LANES}] = "
+                f"{{{', '.join(f'{int(v):#x}u' for v in values)}}};")
+
+    return [
+        table("lcg_mult", mult),
+        table("lcg_inc", inc),
+        "",
+        *_CLONES,
+        "void pwadvect_lcg(uint64_t state, int64_t narrays, const int64_t *arrays)",
+        "{",
+        "    for (int64_t n = 0; n < narrays; n++) {",
+        "        double *out = (double *)(intptr_t)arrays[2 * n];",
+        "        const int64_t count = arrays[2 * n + 1];",
+        "        int64_t m = 0;",
+        f"        for (; m + {_LCG_LANES} <= count; m += {_LCG_LANES}) {{",
+        "            #pragma omp simd",
+        f"            for (int l = 0; l < {_LCG_LANES}; l++)",
+        "                out[m + l] = (double)((lcg_mult[l] * state + lcg_inc[l]) >> 11)"
+        " * 0x1p-53;",
+        f"            state = lcg_mult[{_LCG_LANES - 1}] * state + lcg_inc[{_LCG_LANES - 1}];",
+        "        }",
+        "        for (; m < count; m++) {",
+        f"            state = {_LCG_MULT:#x}u * state + {_LCG_INC:#x}u;",
+        "            out[m] = (double)(state >> 11) * 0x1p-53;",
+        "        }",
+        "    }",
+        "}",
+        "",
+    ]
+
+
 def kernel_source() -> str:
-    """The C source of the compiled kernel, generated from the formula tapes.
+    """The C source of the compiled library: the kernel, generated from the
+    formula tapes, and the generator of grid.lcg_fill.
 
     `pwadvect_block` runs X steps i0 <= i < i1 of a bound block. Step i
     makes the `ncopies` staging copies of phase i % phases, then evaluates
@@ -274,6 +327,12 @@ def kernel_source() -> str:
     source base, source plane stride, dx, bytes); step i copies source
     plane i + dx. BoundBlock builds both tables, so the C has no staging
     rule of its own either.
+
+    `pwadvect_lcg(state, narrays, arrays)` fills arrays in turn with the
+    doubles of grid.lcg_fill's stream from `state`, the masked seed;
+    `arrays` holds per array (address, count of doubles). Each step makes
+    _LCG_LANES values at once from the state at its start, through grid's
+    jump tables, and a scalar loop makes an array's last values.
     """
     columns = [f"const double *r{n} = COLUMN({n});  /* {f} {dx:+d} {dy:+d} */"
                for n, (f, dx, dy) in enumerate(COMPUTE_ROLES)]
@@ -288,7 +347,7 @@ def kernel_source() -> str:
         return [" " * 4 * depth + line for line in lines]
 
     return "\n".join([
-        "/* Generated by pwadvect.kernel from the formula tapes; do not edit. */",
+        "/* Generated by pwadvect.kernel from the formula tapes and grid's LCG; do not edit. */",
         "#include <stdint.h>",
         "#include <string.h>",
         "",
@@ -299,10 +358,7 @@ def kernel_source() -> str:
         "#define COLUMN(n) ((double *)((char *)(intptr_t)arrays[3 * (n)]"
         " + a * arrays[3 * (n) + 1] + b * arrays[3 * (n) + 2]))",
         "",
-        "#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) \\",
-        "    && __GNUC__ >= 12",
-        '__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))',
-        "#endif",
+        *_CLONES,
         "void pwadvect_block(int64_t i0, int64_t i1, int64_t phases, int64_t lag, int64_t n1,",
         "                    int64_t nz, double tcx, double tcy, const double *tzc1,",
         "                    const double *tzc2, const int64_t *desc, int64_t ncopies,",
@@ -327,6 +383,7 @@ def kernel_source() -> str:
         "    }",
         "}",
         "",
+        *_lcg_source(),
     ])
 
 
@@ -335,7 +392,7 @@ def _build():
     gcc = shutil.which("gcc")
     if gcc is None:
         warnings.warn("pwadvect: no C compiler (gcc) found; compute_block uses the "
-                      "slower numpy replay", RuntimeWarning)
+                      "slower numpy replay and lcg_fill its numpy path", RuntimeWarning)
         return None
     source = kernel_source()
     try:
@@ -363,21 +420,25 @@ def _build():
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or str(exc)
         warnings.warn(f"pwadvect: building the C kernel failed ({detail.strip()}); "
-                      "compute_block uses the slower numpy replay", RuntimeWarning)
+                      "compute_block uses the slower numpy replay and lcg_fill its numpy path",
+                      RuntimeWarning)
         return None
     return _declare(lib)
 
 
 def _declare(lib):
-    """`lib` with the argument and result types of pwadvect_block declared."""
+    """`lib` with the argument and result types of pwadvect_block and
+    pwadvect_lcg declared."""
     lib.pwadvect_block.argtypes = (*[ctypes.c_int64] * 6, ctypes.c_double, ctypes.c_double,
                                    *[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p)
     lib.pwadvect_block.restype = None
+    lib.pwadvect_lcg.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
+    lib.pwadvect_lcg.restype = None
     return lib
 
 
 def _compiled():
-    """The kernel library, built on the first call of the process; None: use the replay."""
+    """The kernel library, built on the first call of the process; None: use numpy."""
     global _lib
     if _lib is _UNBUILT:
         with _build_lock:  # engine threads may make the first call together
@@ -387,7 +448,7 @@ def _compiled():
 
 
 def evaluator() -> str:
-    """Which evaluator compute_block runs: "compiled" or "numpy" (the replay)."""
+    """Which evaluator compute_block and lcg_fill run: "compiled" or "numpy"."""
     return "numpy" if _compiled() is None else "compiled"
 
 

@@ -11,5 +11,5 @@ def pytest_report_header(config):
 
 @pytest.fixture
 def numpy_replay(monkeypatch):
-    """Pin compute_block to the numpy replay for one test."""
+    """Pin compute_block to the numpy replay, and lcg_fill to numpy, for one test."""
     monkeypatch.setattr(kernel, "_lib", None)

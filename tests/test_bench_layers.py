@@ -1,6 +1,6 @@
-"""Layer microbenchmarks: kernel blocks (compiled and numpy replay), one
-staged Y batch, the blocked reference run, whole staged-schedule runs,
-checksum.
+"""Layer microbenchmarks: random field generation, kernel blocks (compiled
+and numpy replay), one staged Y batch, the blocked reference run, whole
+staged-schedule runs, checksum.
 
 pyproject.toml sets --benchmark-disable, so in the normal suite each runs
 once as a plain test. Time them with:
@@ -31,6 +31,14 @@ def case():
     return dims, fill_fields(dims, GeneratorSpec.random(1)), default_coefficients(dims.nz)
 
 
+def test_bench_fill_fields(benchmark, case):
+    # three fresh random fields, generated by the compiled generator when gcc
+    # is found, else by lcg_fill's numpy path
+    dims, fields, _ = case
+    made = benchmark(fill_fields, dims, GeneratorSpec.random(1))
+    assert checksum(made.w) == checksum(fields.w)
+
+
 def test_bench_compute_block_one_block(benchmark, case):
     # the block each evaluator gets in the 1-engine reference run: the
     # compiled kernel the whole grid, the numpy replay whole X planes of
@@ -49,9 +57,11 @@ def test_bench_compute_block_one_block(benchmark, case):
 
 @pytest.mark.usefixtures("numpy_replay")
 class TestNumpyReplay:
-    """The replay's block of the reference run; the test above times the
+    """The random fill on lcg_fill's numpy path and the replay's block of the
+    reference run; the tests above time the compiled generator and the
     compiled kernel's whole-grid call when gcc is found."""
 
+    test_bench_fill_fields = staticmethod(test_bench_fill_fields)
     test_bench_compute_block_one_block = staticmethod(test_bench_compute_block_one_block)
 
 

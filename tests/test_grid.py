@@ -18,6 +18,7 @@ from pwadvect.grid import (
     checksum,
     fill_fields,
     lcg_doubles,
+    lcg_fill,
 )
 from pwadvect.params import ModelParams
 from naive_oracle import naive_lcg_doubles
@@ -70,12 +71,57 @@ def test_generation_determinism():
 
 
 def test_lcg_matches_documented_recurrence():
-    # the last four counts end just before, on and after the edges of the
-    # 65,536-value chunks the generator works in
-    for seed, count in ((0, 1), (42, 1000), (2**63 + 5, 4097), (7, 65_535), (8, 65_536),
+    # counts end just before, on and after the edges of the compiled
+    # generator's 8-lane steps and of the numpy path's 65,536-value chunks
+    for seed, count in ((0, 1), (3, 7), (4, 8), (5, 9), (6, 15), (10, 16), (11, 17),
+                        (42, 1000), (2**63 + 5, 4097), (7, 65_535), (8, 65_536),
                         (9, 65_537), (2**64 - 1, 3 * 65_536 + 7)):
         assert np.array_equal(lcg_doubles(seed, count), naive_lcg_doubles(seed, count))
     assert lcg_doubles(1, 0).size == 0
+
+
+def test_lcg_stream_continues_across_arrays():
+    # zero-size arrays in the middle neither take values nor break the stream
+    sizes = (5, 0, 9, 0, 0, 16, 1, 0, 23)
+    arrays = [np.full(n, -1.0) for n in sizes]
+    lcg_fill(2**64 - 1, arrays)
+    stream = naive_lcg_doubles(2**64 - 1, sum(sizes))
+    assert np.array_equal(np.concatenate(arrays), stream)
+    # shapes are filled in index order
+    blocks = [np.empty((3, 4, 5)), np.empty((0, 7)), np.empty((2, 9))]
+    lcg_fill(12, blocks)
+    assert np.array_equal(np.concatenate([b.reshape(-1) for b in blocks]),
+                          naive_lcg_doubles(12, 3 * 4 * 5 + 2 * 9))
+    # an empty list and only zero-size arrays are no-ops, not errors
+    lcg_fill(12, [])
+    lcg_fill(12, [np.empty(0), np.empty((3, 0))])
+
+
+def _misaligned(n):
+    raw = np.zeros(8 * n + 1, dtype=np.uint8)
+    return raw[1:].view(np.float64)
+
+
+def _read_only(n):
+    a = np.zeros(n)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("bad", ["strided", "float32", "read-only", "misaligned",
+                                 "not an array", "fortran"])
+def test_lcg_fill_rejects_arrays_it_cannot_fill(bad):
+    make = {"strided": lambda: np.zeros((4, 6))[:, :3],
+            "float32": lambda: np.zeros(10, dtype=np.float32),
+            "read-only": lambda: _read_only(10),
+            "misaligned": lambda: _misaligned(10),
+            "not an array": lambda: [0.0] * 10,
+            "fortran": lambda: np.zeros((4, 6), order="F")}[bad]
+    good, worse = np.zeros(20), make()
+    with pytest.raises(ValueError, match=r"arrays\[1\]"):
+        lcg_fill(1, [good, worse])
+    # the check runs before any array is filled
+    assert not good.any() and not np.any(worse)
 
 
 def test_random_fill_streams_into_planes_with_bounded_peak():
@@ -159,3 +205,18 @@ def test_check_config_accepts_exactly_the_configurations_that_fit(nx, ny, nz, en
         params = ModelParams()
         assert accepts(lambda: kernel_time(GridDims(nx, ny, nz), params.pipeline,
                                            params.memory, y_batch, engines)) == accepted
+
+
+@pytest.mark.usefixtures("numpy_replay")
+class TestNumpyPath:
+    """The generator tests above, again with lcg_fill pinned to its numpy path;
+    at module level they run on the compiled generator when gcc is found."""
+
+    test_lcg_matches_documented_recurrence = staticmethod(test_lcg_matches_documented_recurrence)
+    test_lcg_stream_continues_across_arrays = staticmethod(
+        test_lcg_stream_continues_across_arrays)
+    test_lcg_fill_rejects_arrays_it_cannot_fill = staticmethod(
+        test_lcg_fill_rejects_arrays_it_cannot_fill)
+    test_random_fill_streams_into_planes_with_bounded_peak = staticmethod(
+        test_random_fill_streams_into_planes_with_bounded_peak)
+    test_checksum_golden = staticmethod(test_checksum_golden)

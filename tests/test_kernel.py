@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pwadvect import kernel
-from pwadvect.grid import GeneratorSpec, GridDims, checksum, fill_fields, wrap_halos, zeros_sources
+from pwadvect.grid import (
+    GeneratorSpec,
+    GridDims,
+    checksum,
+    fill_fields,
+    lcg_fill,
+    wrap_halos,
+    zeros_sources,
+)
 from pwadvect.kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
@@ -446,9 +454,10 @@ def test_build_removes_superseded_libraries(monkeypatch, tmp_path):
 
 
 def test_kernel_source_is_the_tapes():
-    # one C statement per tape step, and no arithmetic anywhere else
+    # one C statement per tape step, and no arithmetic anywhere else in the
+    # kernel; the generator follows it in the same source
     steps = sum(len(tape) for tape, _ in kernel._MID_TAPES + kernel._TOP_TAPES)
-    lines = kernel.kernel_source().splitlines()
+    lines = kernel.kernel_source().split("void pwadvect_lcg(")[0].splitlines()
     arithmetic = [ln for ln in lines if any(f" {op} " in ln for op in "+-*")
                   and not ln.lstrip().startswith(("#", "for", "const int64_t t"))]
     assert len(arithmetic) == steps
@@ -500,6 +509,14 @@ def test_each_clone_bitwise_equals_replay(monkeypatch, tmp_path, level):
                        if "target_clones" not in ln)
     _compile(source, [*kernel.CFLAGS, f"-march={level}"], tmp_path / "clone.so")
     clone = kernel._declare(ctypes.CDLL(str(tmp_path / "clone.so")))
+    # the generator: one stream over arrays ending on and off its 8-lane steps
+    streams = []
+    for lib in (clone, None):  # None: lcg_fill's numpy path
+        monkeypatch.setattr(kernel, "_lib", lib)
+        arrays = [np.empty(n) for n in (7, 8, 9, 0, 15, 16, 17, 65_537)]
+        lcg_fill(2**64 - 1, arrays)
+        streams.append(np.concatenate(arrays))
+    assert streams[0].tobytes() == streams[1].tobytes()
     rng = np.random.default_rng(8)
     for nz in (2, 3, 8, 19, 37):
         coeffs, roles = _special_block(rng, nz)
@@ -529,6 +546,7 @@ def test_each_clone_bitwise_equals_replay(monkeypatch, tmp_path, level):
 
 @pytest.mark.parametrize("cause", ["no compiler", "failed build"])
 def test_fallback_warns_once_and_stays_bitwise(monkeypatch, tmp_path, cause):
+    want = fill_fields(GridDims(5, 4, 6), GeneratorSpec.random(31))  # compiled when gcc is found
     monkeypatch.setattr(kernel, "_lib", kernel._UNBUILT)
     monkeypatch.setattr(kernel, "_CACHE_DIR", tmp_path)
     if cause == "no compiler":
@@ -536,15 +554,19 @@ def test_fallback_warns_once_and_stays_bitwise(monkeypatch, tmp_path, cause):
     else:
         monkeypatch.setattr(kernel, "CFLAGS", (*kernel.CFLAGS, "-no-such-flag"))
     dims = GridDims(5, 4, 6)
-    fields = fill_fields(dims, GeneratorSpec.random(31))
+    spec = GeneratorSpec.random(31)
     coeffs = random_coeffs(dims.nz)
+    # the first random fill is the library's first caller, and fails over
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        fields = fill_fields(dims, spec)
         runs = [run_reference(fields, coeffs) for _ in range(2)]
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "numpy replay" in str(caught[0].message)
     assert kernel.evaluator() == "numpy"
     assert list(tmp_path.iterdir()) == []
+    for x, y in zip((fields.u, fields.v, fields.w), (want.u, want.v, want.w)):
+        assert x.data.tobytes() == y.data.tobytes()
     oracle = naive_sources(fields, coeffs)
     for ref in runs:
         for x, y in ((ref.su, oracle.su), (ref.sv, oracle.sv), (ref.sw, oracle.sw)):
@@ -683,10 +705,14 @@ def test_staged_block_outlives_callers_arrays():
 
 
 def test_model_path_builds_no_kernel():
-    # `import pwadvect` and `validate` must neither compile nor load the kernel
+    # `import pwadvect`, `validate` and the uniform and trig generators must
+    # neither compile nor load the kernel library
     code = ("import pwadvect\n"
             "from pwadvect import cli, kernel\n"
+            "from pwadvect.grid import GeneratorSpec, GridDims, fill_fields\n"
             "assert cli.main(['validate']) == 0\n"
+            "for spec in (GeneratorSpec.uniform(1, 2, 3), GeneratorSpec.trig()):\n"
+            "    fill_fields(GridDims(4, 5, 6), spec)\n"
             "assert kernel._lib is kernel._UNBUILT\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
