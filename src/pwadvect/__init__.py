@@ -15,6 +15,7 @@ from .grid import (
     GridDims,
     SourceSet,
     checksum,
+    checksums,
     fill_fields,
     make_grid,
 )

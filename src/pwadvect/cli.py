@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataflow import calibrate, kernel_time, pipeline_cycles, pipeline_latency
-from .grid import GeneratorSpec, GridDims, check_config, checksum, fill_fields
+from .grid import GeneratorSpec, GridDims, check_config, checksums, fill_fields
 from .kernel import default_coefficients, evaluator
 from .params import ModelParams, ParamError, dump_params, load_params
 from .refdata import (
@@ -151,7 +151,7 @@ def cmd_bench(args, parser) -> int:
         for _ in range(args.reps):
             out, tc, wall = run_schedule(fields, coeffs, spec)
             walls.append(wall)
-            digest = (checksum(out.su), checksum(out.sv), checksum(out.sw))
+            digest = tuple(checksums((out.su, out.sv, out.sw)))
             if sums is None:
                 sums, traffic = digest, tc
             elif sums != digest:

@@ -9,6 +9,8 @@ contiguous and ``array[i, j, k-1]`` is cell (i, j, k).
 from __future__ import annotations
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,47 +186,126 @@ def _lcg_jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return mult[:n], inc[:n]
 
 
+def _lcg_jump(n: int) -> tuple[int, int]:
+    """(A, C) with state_{s+n} = A*state_s + C mod 2^64, by square-and-multiply
+    of the one-step map (_LCG_MULT, _LCG_INC)."""
+    a, c, mult, inc = 1, 0, _LCG_MULT, _LCG_INC
+    while n:
+        if n & 1:
+            a, c = a * mult & _LCG_MASK, (c * mult + inc) & _LCG_MASK
+        mult, inc = mult * mult & _LCG_MASK, (inc * mult + inc) & _LCG_MASK
+        n >>= 1
+    return a, c
+
+
+# Values each thread of lcg_fill's compiled path makes at least, 2 MiB.
+_LCG_THREAD_VALUES = 1 << 18
+
+
+def _on_threads(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], on a pool of `workers` threads when that is
+    more than one, else on the calling thread."""
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
+def _fill_rows(n: int, a) -> np.ndarray:
+    """`a` as a (rows, values) view of contiguous rows, or ValueError naming
+    arrays[n]: one row if `a` is C-contiguous, else one per index of axis 0
+    of a 3-D array whose last two axes are C-contiguous."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.aligned
+            and a.flags.writeable
+            and (a.flags.c_contiguous or a.ndim == 3 and a[0].flags.c_contiguous)):
+        got = (f"{a.dtype} array of shape {a.shape}" if isinstance(a, np.ndarray)
+               else type(a).__name__)
+        raise ValueError(f"arrays[{n}]: need a writeable, aligned float64 ndarray, C-contiguous "
+                         f"or 3-D with C-contiguous planes, got {got}")
+    return a.reshape(1 if a.flags.c_contiguous else len(a), -1)  # a view, never a copy
+
+
+def _segments(views: list[np.ndarray], owners: list[int]) -> np.ndarray:
+    """The (address, count) int64 table of the rows of `views`, in stream
+    order; ValueError if any two rows overlap in memory."""
+    table = np.concatenate([
+        np.stack([v.ctypes.data + v.strides[0] * np.arange(len(v), dtype=np.int64),
+                  np.full(len(v), v.shape[1], dtype=np.int64)], axis=1) for v in views])
+    owner = np.repeat(owners, [len(v) for v in views])
+    order = np.argsort(table[:, 0], kind="stable")
+    start = table[order, 0]
+    clash = np.flatnonzero(start[1:] < start[:-1] + 8 * table[order[:-1], 1])
+    if clash.size:
+        m, n = sorted(owner[order[clash[0] : clash[0] + 2]])
+        raise ValueError(f"arrays[{n}] overlaps itself" if m == n
+                         else f"arrays[{m}] and arrays[{n}] overlap")
+    return table
+
+
+def _split(table: np.ndarray, parts: int) -> list[tuple[int, np.ndarray]]:
+    """The stream of `table` cut into `parts` equal contiguous ranges:
+    (offset of the range's first value, its segment table) for each."""
+    ends = np.cumsum(table[:, 1])
+    starts = ends - table[:, 1]
+    bounds = [int(ends[-1]) * p // parts for p in range(parts + 1)]
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        r0 = int(np.searchsorted(ends, lo, side="right"))
+        r1 = int(np.searchsorted(starts, hi, side="left"))
+        piece = table[r0:r1].copy()
+        skip = lo - int(starts[r0])
+        piece[0] += (8 * skip, -skip)
+        piece[-1, 1] -= int(ends[r1 - 1]) - hi
+        pieces.append((lo, piece))
+    return pieces
+
+
 def lcg_fill(seed: int, arrays) -> None:
-    """Fill C-contiguous float64 `arrays` in turn, each in index order, from
-    one stream of doubles in [0, 1) of the Knuth MMIX 64-bit LCG.
+    """Fill float64 `arrays` in turn, each in index order, from one stream of
+    doubles in [0, 1) of the Knuth MMIX 64-bit LCG.
 
     state' = 6364136223846793005*state + 1442695040888963407 mod 2^64,
     value = (state' >> 11) * 2^-53. The first value uses one step from the
     seed, and each array continues the stream where the previous one ended.
-    Each array must be a writeable, aligned, C-contiguous float64 ndarray,
-    else ValueError naming it, raised before any array is filled; an empty
-    list and zero-size arrays are no-ops.
+    Each array must be a writeable, aligned float64 ndarray that is
+    C-contiguous, or 3-D with C-contiguous planes a[i] at any axis-0 stride
+    (a field's interior), and no two arrays may share memory, nor one array
+    write a cell twice; else ValueError naming the array, raised before any
+    array is filled. An empty list and zero-size arrays are no-ops.
 
     The stream is generated by `pwadvect_lcg` in the library that holds the
     compiled kernel (see kernel.kernel_source), loaded or built on the first
-    call that has values to make. Without that library it is evaluated in
-    numpy, in chunks of at most _LCG_CHUNK values with jump tables built once
-    per call (uint64 arithmetic wraps mod 2^64), so large fields need neither
-    a Python-level loop per element nor a stream-sized array. Both give the
-    same bits.
+    call that has values to make. A fill of n values runs on
+    min(cores, n // _LCG_THREAD_VALUES) threads, each making one contiguous
+    range of the stream from the state jumped ahead to its start (_lcg_jump),
+    and on the calling thread when that is at most one. Without that library
+    it is evaluated in numpy on the calling thread, in chunks of at most
+    _LCG_CHUNK values with jump tables built once per call (uint64 arithmetic
+    wraps mod 2^64), so large fields need neither a Python-level loop per
+    element nor a stream-sized array. Both give the same bits.
     """
-    arrays = list(arrays)
-    for n, a in enumerate(arrays):
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
-                and a.flags.aligned and a.flags.writeable):
-            got = (f"{a.dtype} array of shape {a.shape}" if isinstance(a, np.ndarray)
-                   else type(a).__name__)
-            raise ValueError(f"arrays[{n}]: need a writeable, aligned, C-contiguous float64 "
-                             f"ndarray, got {got}")
-    arrays = [a for a in arrays if a.size]
-    if not arrays:
+    views = [_fill_rows(n, a) for n, a in enumerate(arrays)]
+    owners = [n for n, v in enumerate(views) if v.size]
+    views = [views[n] for n in owners]
+    if not views:
         return
+    table = _segments(views, owners)
     from . import kernel  # kernel imports this module, so look it up per call
 
     lib, s = kernel._compiled(), seed & _LCG_MASK
     if lib is not None:
-        table = np.array([(a.ctypes.data, a.size) for a in arrays], dtype=np.int64)
-        lib.pwadvect_lcg(s, len(arrays), table.ctypes.data)
+        parts = max(1, min(os.cpu_count() or 1, int(table[:, 1].sum()) // _LCG_THREAD_VALUES))
+
+        def fill(piece):
+            offset, segments = piece
+            a, c = _lcg_jump(offset)
+            lib.pwadvect_lcg((a * s + c) & _LCG_MASK, len(segments), segments.ctypes.data)
+
+        _on_threads(fill, _split(table, parts), parts)
         return
-    flats = [a.reshape(-1) for a in arrays]
-    mult, inc = _lcg_jump_tables(min(max(a.size for a in flats), _LCG_CHUNK))
+    mult, inc = _lcg_jump_tables(min(int(table[:, 1].max()), _LCG_CHUNK))
     state = np.empty_like(mult)
-    for flat in flats:
+    for flat in (row for v in views for row in v):
         for lo in range(0, flat.size, _LCG_CHUNK):
             n = min(_LCG_CHUNK, flat.size - lo)
             chunk = state[:n]
@@ -272,8 +353,7 @@ def fill_fields(dims: GridDims, spec: GeneratorSpec) -> FieldSet:
         for arr, interior in zip(fields, _trig_interior(dims)):
             arr[1:-1, 1:-1, :] = interior
     else:  # one LCG stream: u interior, then v, then w, in layout order
-        # each interior X plane arr[i, 1:-1, :] is contiguous
-        lcg_fill(spec.seed, [plane for arr in fields for plane in arr[1:-1, 1:-1, :]])
+        lcg_fill(spec.seed, [arr[1:-1, 1:-1, :] for arr in fields])
     for arr in fields:
         wrap_halos(arr)
     return FieldSet(*(Field3D(dims, arr) for arr in fields))
@@ -290,3 +370,10 @@ def checksum(f: Field3D) -> str:
     for plane in f.interior:
         digest.update(np.ascontiguousarray(plane, dtype="<f8"))
     return digest.hexdigest()
+
+
+def checksums(fields) -> list[str]:
+    """`checksum` of each field, in order, hashed in min(len(fields), cores)
+    threads (hashlib releases the GIL while it hashes); on one core, in turn."""
+    fields = list(fields)
+    return _on_threads(checksum, fields, min(len(fields), os.cpu_count() or 1))

@@ -328,9 +328,10 @@ def kernel_source() -> str:
     plane i + dx. BoundBlock builds both tables, so the C has no staging
     rule of its own either.
 
-    `pwadvect_lcg(state, narrays, arrays)` fills arrays in turn with the
-    doubles of grid.lcg_fill's stream from `state`, the masked seed;
-    `arrays` holds per array (address, count of doubles). Each step makes
+    `pwadvect_lcg(state, narrays, arrays)` fills segments in turn with the
+    doubles of grid.lcg_fill's stream from `state`, the masked seed jumped
+    ahead to the first segment's place in the stream; `arrays` holds per
+    segment (address, count of doubles). Each step makes
     _LCG_LANES values at once from the state at its start, through grid's
     jump tables, and a scalar loop makes an array's last values.
     """

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shutil
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pwadvect import grid, kernel
 from pwadvect.dataflow import kernel_time
 from pwadvect.grid import (
     Field3D,
@@ -16,6 +19,7 @@ from pwadvect.grid import (
     GridError,
     check_config,
     checksum,
+    checksums,
     fill_fields,
     lcg_doubles,
     lcg_fill,
@@ -124,6 +128,45 @@ def test_lcg_fill_rejects_arrays_it_cannot_fill(bad):
     assert not good.any() and not np.any(worse)
 
 
+def test_lcg_fill_fills_3d_arrays_plane_by_plane_in_place():
+    # a field's interior: C-contiguous planes at the padded array's X stride
+    padded = np.full((6, 7, 9), -1.0)
+    interior = padded[1:-1, 1:-1, :]
+    lcg_fill(2**64 - 1, [np.empty(3), interior])
+    stream = naive_lcg_doubles(2**64 - 1, 3 + interior.size)
+    assert np.array_equal(interior.reshape(-1), stream[3:])
+    padded[1:-1, 1:-1, :] = -1.0
+    assert np.all(padded == -1.0)  # the halo is untouched
+    # any axis-0 stride, negative too: index order, not memory order
+    backwards = np.empty((4, 3, 5))[::-1, :, :]
+    lcg_fill(7, [backwards])
+    assert np.array_equal(np.ascontiguousarray(backwards).reshape(-1),
+                          naive_lcg_doubles(7, backwards.size))
+    # planes that are not C-contiguous are rejected before anything is filled
+    good, worse = np.zeros(20), np.zeros((3, 4, 6))[:, :, :3]
+    with pytest.raises(ValueError, match=r"arrays\[1\]"):
+        lcg_fill(1, [good, worse])
+    assert not good.any()
+
+
+@pytest.mark.parametrize("make", [
+    lambda buf: [buf[:10], buf[5:15]],  # two views of one buffer
+    lambda buf: [buf, buf],
+    lambda buf: [np.zeros(3), buf[:4], buf[4:8], buf[7:12]],  # overlap by one value
+    lambda buf: [np.lib.stride_tricks.as_strided(buf, (3, 4, 5), (0, 40, 8))],  # stride 0
+    lambda buf: [buf.reshape(2, 2, 5)[::-1], buf[:1]],  # a 3-D array and a view of it
+], ids=["views", "twice", "one value", "stride 0", "plane"])
+def test_lcg_fill_rejects_overlapping_arrays(make):
+    buf = np.zeros(20)
+    arrays = make(buf)
+    with pytest.raises(ValueError, match="overlap"):
+        lcg_fill(1, arrays)
+    assert not buf.any() and not any(a.any() for a in arrays)
+    # adjacent views that share no cell are fine
+    lcg_fill(1, [buf[:4], buf[4:8], buf[8:]])
+    assert np.array_equal(buf, naive_lcg_doubles(1, 20))
+
+
 def test_random_fill_streams_into_planes_with_bounded_peak():
     # 1,100 x 64 values per X plane: chunk edges fall inside planes
     dims = GridDims(3, 1100, 64)
@@ -140,6 +183,101 @@ def test_random_fill_streams_into_planes_with_bounded_peak():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 3 * dims.padded_len * 8
+
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+
+
+def test_lcg_jump_equals_naive_stepping():
+    counts = (0, 1, 7, 8, 9, 2**20 + 3)
+    for seed in (0, 2**64 - 1):
+        state, stepped = seed, {}
+        for n in range(max(counts) + 1):
+            if n in counts:
+                stepped[n] = state
+            state = (grid._LCG_MULT * state + grid._LCG_INC) & grid._LCG_MASK
+        for n in counts:
+            a, c = grid._lcg_jump(n)
+            assert (a * seed + c) & grid._LCG_MASK == stepped[n]
+
+
+# Array sizes of one stream; with 1-4 threads the cuts fall on array edges
+# and inside arrays, on and off the generator's 8-lane steps (e.g. (24, 40)
+# cuts at 32 = 8 into the second array with 2 threads, at 21 and 42 with 3).
+_SPLIT_SIZES = [(64,), (24, 40), (5, 0, 9, 0, 16, 1, 23, 3), (0, 3, 0), (1, 2)]
+
+
+@needs_gcc
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_threaded_fill_equals_numpy_path_and_naive_stream(monkeypatch, cores, seed):
+    # one value per thread suffices, so the threaded path runs on any host
+    monkeypatch.setattr(grid, "_LCG_THREAD_VALUES", 1)
+    monkeypatch.setattr(grid.os, "cpu_count", lambda: cores)
+    for sizes in _SPLIT_SIZES:
+        got = [np.full(n, -1.0) for n in sizes]
+        lcg_fill(seed, got)
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "_lib", None)
+            ref = [np.full(n, -1.0) for n in sizes]
+            lcg_fill(seed, ref)
+        stream = naive_lcg_doubles(seed, sum(sizes))
+        assert np.concatenate(got).tobytes() == np.concatenate(ref).tobytes() == stream.tobytes()
+    # three interiors: the cuts fall inside and between their planes
+    padded = [np.full((6, 7, 9), -1.0) for _ in range(3)]
+    lcg_fill(seed, [p[1:-1, 1:-1, :] for p in padded])
+    got = np.concatenate([p[1:-1, 1:-1, :].reshape(-1) for p in padded])
+    assert np.array_equal(got, naive_lcg_doubles(seed, got.size))
+
+
+def test_split_cuts_the_stream_into_equal_contiguous_ranges():
+    sizes = np.array([5, 9, 16, 1, 23, 3])
+    table = np.stack([1000 + 8 * (np.cumsum(sizes) - sizes), sizes], axis=1).astype(np.int64)
+    for parts in (1, 2, 3, 4, 57):
+        pieces = grid._split(table, parts)
+        assert [lo for lo, _ in pieces] == [57 * p // parts for p in range(parts)]
+        # the pieces' segments, in turn, are the table's values, once each
+        cells = [a + 8 * n for _, piece in pieces for a, c in piece for n in range(c)]
+        assert cells == [a + 8 * n for a, c in table for n in range(c)]
+
+
+def test_fill_threads_never_exceed_cores(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingPool)
+    # the 8x8x8 goldens fill is far below a thread's share: no thread starts
+    fill_fields(GridDims(8, 8, 8), GeneratorSpec.random(42))
+    assert pools == []
+    monkeypatch.setattr(grid, "_LCG_THREAD_VALUES", 1)
+    fields = [fill_fields(GridDims(2, 2, 2), GeneratorSpec.random(1)).u for _ in range(3)]
+    threaded = kernel.evaluator() == "compiled"  # the numpy path fills on the caller
+    for cores in (1, 2, 3, 4, 8):
+        monkeypatch.setattr(grid.os, "cpu_count", lambda: cores)
+        pools.clear()
+        lcg_fill(3, [np.empty(2), np.empty(3)])
+        assert pools == ([min(cores, 5)] if threaded and cores > 1 else [])
+        pools.clear()
+        checksums(fields)
+        assert pools == ([min(cores, 3)] if cores > 1 else [])
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_checksums_equal_checksum_of_each_field(monkeypatch, cores):
+    monkeypatch.setattr(grid.os, "cpu_count", lambda: cores)
+    dims = GridDims(5, 6, 64)  # 3 KiB planes: hashlib hashes them without the GIL
+    special = (np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, -0.0)
+    fields = [fill_fields(dims, GeneratorSpec.random(seed)).u for seed in range(4)]
+    for n, f in enumerate(fields):
+        f.data[1 + n, 2, :len(special)] = special[n:] + special[:n]
+    assert checksums(fields) == [checksum(f) for f in fields]
+    assert len(set(checksums(fields))) == 4
+    assert checksums(fields[:1]) == [checksum(fields[0])]
+    assert checksums([]) == []
 
 
 def test_checksum_equality_and_bit_sensitivity():
@@ -174,6 +312,7 @@ def test_checksum_golden():
     assert checksum(fs.u) == GOLDENS["fields"]["u"]
     assert checksum(fs.v) == GOLDENS["fields"]["v"]
     assert checksum(fs.w) == GOLDENS["fields"]["w"]
+    assert checksums([fs.u, fs.v, fs.w]) == [GOLDENS["fields"][name] for name in "uvw"]
 
 
 def test_field_shape_validation():
@@ -217,6 +356,10 @@ class TestNumpyPath:
         test_lcg_stream_continues_across_arrays)
     test_lcg_fill_rejects_arrays_it_cannot_fill = staticmethod(
         test_lcg_fill_rejects_arrays_it_cannot_fill)
+    test_lcg_fill_fills_3d_arrays_plane_by_plane_in_place = staticmethod(
+        test_lcg_fill_fills_3d_arrays_plane_by_plane_in_place)
+    test_lcg_fill_rejects_overlapping_arrays = staticmethod(
+        test_lcg_fill_rejects_overlapping_arrays)
     test_random_fill_streams_into_planes_with_bounded_peak = staticmethod(
         test_random_fill_streams_into_planes_with_bounded_peak)
     test_checksum_golden = staticmethod(test_checksum_golden)
