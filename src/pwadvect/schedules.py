@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldSet, GridDims, SourceSet, check_config, zeros_sources
+from .grid import FieldSet, GridDims, SourceSet, _on_threads, check_config, zeros_sources
 from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
@@ -27,6 +26,10 @@ from .kernel import (
 )
 
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
+
+# Cells each X piece of a reference slab gets at least, so that a piece's
+# kernel call outweighs its thread hand-off (see run_schedule).
+_PIECE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -40,17 +43,17 @@ class Slab:
     def width(self) -> int:
         return self.x_end - self.x_begin
 
+    def split(self, parts: int) -> list["Slab"]:
+        """`parts` contiguous pieces, widths differing by at most one, wider first."""
+        base, rem = divmod(self.width, parts)
+        bounds = [self.x_begin + p * base + min(p, rem) for p in range(parts + 1)]
+        return [Slab(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
 
 def partition_domain(dims: GridDims, engines: int) -> list[Slab]:
     """Balanced contiguous X slabs; widths differ by at most one."""
     check_config(dims, engines, y_batch=1)
-    base, rem = divmod(dims.nx, engines)
-    slabs, x = [], 1
-    for e in range(engines):
-        w = base + (1 if e < rem else 0)
-        slabs.append(Slab(x, x + w))
-        x += w
-    return slabs
+    return Slab(1, dims.nx + 1).split(engines)
 
 
 @dataclass(frozen=True)
@@ -163,20 +166,25 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
 
     Inputs are shared read-only across engines; each engine writes only its
     X slab of the output, so results are independent of worker interleaving.
+    The reference cuts each slab further into min(ceil(cores / engines),
+    width, cells // _PIECE_CELLS) X pieces, at least one, each run as its own
+    slab: a 1-engine run then uses every core for the kernel and for the
+    first touch of the fresh outputs, and since its counters are linear in
+    columns, with no scratch, the pieces sum to the same traffic. Engines
+    are logical: the jobs run on min(jobs, cores) threads.
     """
     dims = fields.dims
     spec.validate(dims)
-    slabs = partition_domain(dims, spec.engines)
+    cores = os.cpu_count() or 1
+    jobs = partition_domain(dims, spec.engines)
+    if spec.variant == "reference":
+        jobs = [piece for slab in jobs for piece in slab.split(max(1, min(
+            -(-cores // spec.engines), slab.width,
+            slab.width * dims.ny * dims.nz // _PIECE_CELLS)))]
     out = zeros_sources(dims)
     t0 = time.perf_counter()
-    if len(slabs) == 1:
-        counters = [_run_slab(fields, coeffs, out, slabs[0], spec)]
-    else:
-        # engines are logical: the pool never has more threads than cores
-        with ThreadPoolExecutor(max_workers=min(len(slabs), os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(_run_slab, fields, coeffs, out, slab, spec)
-                       for slab in slabs]
-            counters = [f.result() for f in futures]
+    counters = _on_threads(lambda slab: _run_slab(fields, coeffs, out, slab, spec), jobs,
+                           min(len(jobs), cores))
     wall = time.perf_counter() - t0
     traffic = TrafficReport()
     for tc in counters:

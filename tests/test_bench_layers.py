@@ -40,9 +40,9 @@ def test_bench_fill_fields(benchmark, case):
 
 
 def test_bench_compute_block_one_block(benchmark, case):
-    # the block each evaluator gets in the 1-engine reference run: the
-    # compiled kernel the whole grid, the numpy replay whole X planes of
-    # BLOCK_CELLS cells
+    # the block each evaluator gets in run_reference: the compiled kernel
+    # the whole grid, the numpy replay whole X planes of BLOCK_CELLS cells
+    # (run_schedule's reference cuts the grid into X pieces across cores)
     dims, fields, coeffs = case
     planes = dims.nx
     if kernel.evaluator() == "numpy":

@@ -1,9 +1,10 @@
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from pwadvect import kernel, schedules
+from pwadvect import grid, kernel, schedules
 from pwadvect.grid import GeneratorSpec, GridDims, fill_fields, wrap_halos
 from pwadvect.kernel import AdvectionCoefficients, default_coefficients, run_reference
 from pwadvect.refdata import OPTIMISATION_LADDER
@@ -181,10 +182,103 @@ def test_engine_threads_capped_by_cores(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(schedules.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(schedules, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingPool)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 2, engines=16))
     assert sizes == [2]
     assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
+
+
+def _record_pieces(monkeypatch, cores):
+    """Patch the core count to `cores`; record the reference run's pools,
+    binds and kernel runs, with the thread of each run."""
+    pools, binds, runs = [], [], []
+    bind, run = kernel.BoundBlock, kernel.compute_block
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def binding(*args):
+        binds.append(bind(*args))
+        return binds[-1]
+
+    def running(block, i0, i1):
+        runs.append((block, i0, i1, threading.get_ident()))
+        return run(block, i0, i1)
+
+    monkeypatch.setattr(schedules.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(kernel, "BoundBlock", binding)
+    monkeypatch.setattr(kernel, "compute_block", running)
+    return pools, binds, runs
+
+
+def _piece_widths(out, binds):
+    """The X widths of the bound pieces, in X order; they must tile 1..nx."""
+    su, stride = out.su.data, out.su.data.strides[0]
+    pieces = sorted((b.phases[0][-3].ctypes.data, len(b.phases[0][-3])) for b in binds)
+    starts = [(ptr - su.ctypes.data) // stride for ptr, _ in pieces]
+    widths = [n for _, n in pieces]
+    assert starts == [1 + sum(widths[:p]) for p in range(len(widths))]
+    assert sum(widths) == out.dims.nx
+    return widths
+
+
+# nx = 25 columns of ny x 256 cells: a slab is cut into ceil(cores / engines)
+# pieces, at most one per _PIECE_CELLS cells. With ny = 128 (3.125 of them)
+# the cap cuts 2-engine slabs into one piece; with ny = 256 (6.25) it does not.
+PIECES = {
+    128: {(1, 1): [25], (1, 2): [13, 12], (1, 3): [9, 8, 8],
+          (2, 1): [13, 12], (2, 2): [13, 12], (2, 3): [9, 8, 8],
+          (3, 1): [9, 8, 8], (3, 2): [13, 12], (3, 3): [9, 8, 8]},
+    256: {(1, 1): [25], (1, 2): [13, 12], (1, 3): [9, 8, 8],
+          (2, 1): [13, 12], (2, 2): [13, 12], (2, 3): [9, 8, 8],
+          (3, 1): [9, 8, 8], (3, 2): [7, 6, 6, 6], (3, 3): [9, 8, 8]},
+}
+
+
+@pytest.mark.parametrize("ny", sorted(PIECES))
+def test_reference_pieces_use_every_core(monkeypatch, ny):
+    dims, fields, coeffs = case(nx=25, ny=ny, nz=256)
+    assert schedules._PIECE_CELLS == 1 << 18  # the cell cap PIECES is worked out for
+    ref = run_reference(fields, coeffs)
+    one_core = {}
+    for (cores, engines), widths in PIECES[ny].items():
+        with monkeypatch.context() as m:
+            pools, binds, runs = _record_pieces(m, cores)
+            out, tc, _ = run_schedule(fields, coeffs, ScheduleSpec("reference", engines=engines))
+        assert compare_outputs(ref, out) == OutputComparison(True, 0.0, 0), (cores, engines)
+        assert tc == one_core.setdefault(engines, tc)
+        # each piece is bound once and run by one compute_block call over its width
+        assert _piece_widths(out, binds) == widths
+        assert len(runs) == len(binds)
+        assert ({(id(b), 0, len(b.phases[0][-3])) for b in binds}
+                == {(id(b), i0, i1) for b, i0, i1, _ in runs})
+        workers = min(len(widths), cores)
+        assert pools == ([workers] if workers > 1 else [])
+        assert len({r[3] for r in runs}) <= cores
+
+
+def test_reference_below_piece_cells_is_not_cut(monkeypatch):
+    # the golden grid and a 200-cell grid run as one block per slab on 3 cores
+    for nx, ny, nz in ((8, 8, 8), (10, 4, 5)):
+        dims, fields, coeffs = case(nx=nx, ny=ny, nz=nz)
+        with monkeypatch.context() as m:
+            pools, binds, runs = _record_pieces(m, 3)
+            out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("reference"))
+        assert pools == [] and len(runs) == 1
+        assert _piece_widths(out, binds) == [nx]
+        assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
+
+
+@pytest.mark.usefixtures("numpy_replay")
+class TestNumpyReplay:
+    """The reference's pieces on the numpy replay, which keeps scratch per block."""
+
+    test_reference_pieces_use_every_core = staticmethod(test_reference_pieces_use_every_core)
+    test_reference_below_piece_cells_is_not_cut = staticmethod(
+        test_reference_below_piece_cells_is_not_cut)
 
 
 def test_traffic_closed_forms_single_engine():
