@@ -150,7 +150,7 @@ COMPUTE_ROLES: tuple[tuple[str, int, int], ...] = tuple(
 #     [tcx, tcy, tzc1_k, tzc2_k, *15 field operands, result, *slots]
 # Temporaries are given scratch slots by liveness and the last operation
 # writes the result, so the numpy replay evaluates a block by `out=` ufunc
-# calls into slot buffers its BoundBlock keeps and into the block's outputs.
+# calls into slot buffers of its compute_block call and into the outputs.
 # Each element still sees the same IEEE operations in the same order as the
 # written formula.
 
@@ -317,15 +317,15 @@ def kernel_source() -> str:
     """The C source of the compiled library: the kernel, generated from the
     formula tapes, and the generator of grid.lcg_fill.
 
-    `pwadvect_block` runs X steps i0 <= i < i1 of a bound block. Step i
-    makes the `ncopies` staging copies of phase i % phases, then evaluates
-    row a = i - lag, if a >= 0: columns (a, b), 0 <= b < n1, with the
-    descriptor of phase a % phases. `desc` holds per phase (base address,
-    stride 0, stride 1) per array, strides in bytes: the 17 COMPUTE_ROLES
-    in order (r0..r16), then su, sv, sw (o0..o2); column (a, b) of array n
-    starts at COLUMN(n). `copies` holds per phase and copy (destination,
+    `pwadvect_block` runs the X steps 0 <= i < `steps` of one compute_block
+    call. Step i makes the `ncopies` staging copies of phase i % phases,
+    then evaluates row a = i - lag, if a >= 0: columns (a, b), 0 <= b < n1,
+    with the descriptor of phase a % phases. `desc` holds per phase (base
+    address, stride 0, stride 1) per array, strides in bytes: the 17
+    COMPUTE_ROLES in order (r0..r16), then su, sv, sw (o0..o2); column
+    (a, b) of array n starts at COLUMN(n). `copies` holds per phase and copy (destination,
     source base, source plane stride, dx, bytes); step i copies source
-    plane i + dx. BoundBlock builds both tables, so the C has no staging
+    plane i + dx. compute_block builds both tables, so the C has no staging
     rule of its own either.
 
     `pwadvect_lcg(state, narrays, arrays)` fills segments in turn with the
@@ -360,13 +360,12 @@ def kernel_source() -> str:
         " + a * arrays[3 * (n) + 1] + b * arrays[3 * (n) + 2]))",
         "",
         *_CLONES,
-        "void pwadvect_block(int64_t i0, int64_t i1, int64_t phases, int64_t lag, int64_t n1,",
-        "                    int64_t nz, double tcx, double tcy, const double *tzc1,",
-        "                    const double *tzc2, const int64_t *desc, int64_t ncopies,",
-        "                    const int64_t *copies)",
+        "void pwadvect_block(int64_t steps, int64_t phases, int64_t lag, int64_t n1, int64_t nz,",
+        "                    double tcx, double tcy, const double *tzc1, const double *tzc2,",
+        "                    const int64_t *desc, int64_t ncopies, const int64_t *copies)",
         "{",
         "    const int64_t t = nz - 1;",
-        "    for (int64_t i = i0, a = i0 - lag; i < i1; i++, a++) {",
+        "    for (int64_t i = 0, a = -lag; i < steps; i++, a++) {",
         "        const int64_t *c = COPIES(i);",
         "        for (int64_t n = 0; n < ncopies; n++, c += 5)",
         "            memcpy(DEST(c), SOURCE(c, i), (size_t)c[4]);",
@@ -430,7 +429,7 @@ def _build():
 def _declare(lib):
     """`lib` with the argument and result types of pwadvect_block and
     pwadvect_lcg declared."""
-    lib.pwadvect_block.argtypes = (*[ctypes.c_int64] * 6, ctypes.c_double, ctypes.c_double,
+    lib.pwadvect_block.argtypes = (*[ctypes.c_int64] * 5, ctypes.c_double, ctypes.c_double,
                                    *[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p)
     lib.pwadvect_block.restype = None
     lib.pwadvect_lcg.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
@@ -509,9 +508,9 @@ def _checked_copies(copies, phases: int, steps: int) -> tuple:
 BLOCK_CELLS = 1 << 16
 
 
-class BoundBlock:
-    """A block's arrays and staging copies, checked and addressed once, for
-    `compute_block` to run.
+def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: int = 0) -> None:
+    """Check and address a block's arrays and staging copies, then run all
+    its X steps: one compiled kernel call, or the numpy replay.
 
     `phases` is a sequence of P >= 1 role dicts. Each maps every key in
     COMPUTE_ROLES to a float64 array shaped (n0, n1, nz) with unit stride
@@ -520,78 +519,61 @@ class BoundBlock:
     and level k = 1 is left as it is. `copies` is empty or holds one list
     of (dest, source, dx) per phase, all of one length: dest a writeable
     C-contiguous float64 array, source a float64 array of planes of dest's
-    shape along its first axis, each plane C-contiguous. The block runs
+    shape along its first axis, each plane C-contiguous. The call runs
     n0 + lag X steps: step i makes the copies of phase i % P, each from
     source plane i + dx, then evaluates row i - lag, if that is >= 0, with
     the roles of phase (i - lag) % P. The reference run is one phase, no
     copies and lag 0, so step i is row i.
 
-    A bad role, output or copy, a source plane outside its array on any
-    step, or coefficients of another length than nz raise ValueError. No
-    output may overlap a role, a copy or another output, and no copy's
-    destination its source: the compiled kernel runs the k loop in SIMD
-    lanes and copies with memcpy on that promise, and it is not checked
-    (every caller writes into a SourceSet and staging buffers of its own).
-    The compiled kernel reads and copies the arrays in place; the numpy
-    replay (no compiler) evaluates blocks of at most BLOCK_CELLS cells into
-    scratch slots the block keeps, one `new_scratch` per replayed shape
-    shared by its phases, so one thread at a time may run a block. The
-    block holds every array it addressed, so it stays valid after the
-    caller drops `phases`, `out` and `copies`.
+    A bad role, output, copy or lag, no phases, a source plane outside its
+    array on any step, or coefficients of another length than nz raise
+    ValueError before anything is written. No output may overlap a role, a
+    copy or another output, and no copy's destination its source: the
+    compiled kernel runs the k loop in SIMD lanes and copies with memcpy on
+    that promise, and it is not checked (every caller writes into a
+    SourceSet and staging buffers of its own). The compiled kernel reads and
+    copies the arrays in place; the numpy replay (no compiler) evaluates
+    blocks of at most BLOCK_CELLS cells into scratch slots of the call, one
+    `new_scratch` per replayed shape shared by its phases.
     """
-
-    def __init__(self, coeffs: AdvectionCoefficients, phases, out, copies=(), lag: int = 0):
-        self.coeffs, self.lag, self.scratch, self.lib = coeffs, lag, {}, _compiled()
-        # per phase, the 17 roles, then su, sv, sw
-        self.phases = tuple(tuple(_checked_arrays(coeffs, roles, out)) for roles in phases)
-        if not self.phases:
-            raise ValueError("need at least one phase of roles")
-        if not (isinstance(lag, int) and lag >= 0):
-            raise ValueError(f"lag must be an int >= 0, got {lag!r}")
-        n0, n1, nz = self.phases[0][0].shape
-        self.steps = n0 + lag
-        self.copies = _checked_copies(copies, len(self.phases), self.steps)
-        if self.lib is not None:
-            desc = np.array([[(arr.ctypes.data, *arr.strides[:2]) for arr in arrays]
-                             for arrays in self.phases], dtype=np.int64)
-            ncopies = len(self.copies[0])
-            table = np.array([(dst.ctypes.data, src.ctypes.data, src.strides[0], dx, dst.nbytes)
-                              for phase in self.copies for dst, src, dx in phase],
-                             dtype=np.int64).reshape(len(self.phases), ncopies, 5)
-            tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
-            self.keep = (tzc1, tzc2, desc, table)  # the buffers behind the addresses in args
-            self.args = (len(self.phases), lag, n1, nz, coeffs.tcx, coeffs.tcy,
-                         tzc1.ctypes.data, tzc2.ctypes.data, desc.ctypes.data,
-                         ncopies, table.ctypes.data)
-
-
-def compute_block(block: BoundBlock, i0: int, i1: int) -> None:
-    """Run X steps i0 <= i < i1 of a bound block: its copies, then its rows.
-
-    A range outside 0 <= i0 <= i1 <= n0 + lag raises ValueError.
-    """
-    if not 0 <= i0 <= i1 <= block.steps:
-        raise ValueError(f"steps [{i0}, {i1}) are outside the block's {block.steps} steps")
-    if block.lib is not None:
-        block.lib.pwadvect_block(i0, i1, *block.args)
+    # per phase, the 17 roles, then su, sv, sw
+    phases = [_checked_arrays(coeffs, roles, out) for roles in phases]
+    if not phases:
+        raise ValueError("need at least one phase of roles")
+    if not (isinstance(lag, int) and lag >= 0):
+        raise ValueError(f"lag must be an int >= 0, got {lag!r}")
+    n0, n1, nz = phases[0][0].shape
+    steps = n0 + lag
+    copies = _checked_copies(copies, len(phases), steps)
+    lib = _compiled()
+    if lib is not None:
+        # the locals hold the buffers behind the addresses for the call
+        desc = np.array([[(arr.ctypes.data, *arr.strides[:2]) for arr in arrays]
+                         for arrays in phases], dtype=np.int64)
+        ncopies = len(copies[0])
+        table = np.array([(dst.ctypes.data, src.ctypes.data, src.strides[0], dx, dst.nbytes)
+                          for phase in copies for dst, src, dx in phase],
+                         dtype=np.int64).reshape(len(phases), ncopies, 5)
+        tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
+        lib.pwadvect_block(steps, len(phases), lag, n1, nz, coeffs.tcx, coeffs.tcy,
+                           tzc1.ctypes.data, tzc2.ctypes.data, desc.ctypes.data,
+                           ncopies, table.ctypes.data)
         return
     # the numpy replay: a block that stages runs one step at a time, else
     # blocks of at most BLOCK_CELLS cells
-    phases, lag = block.phases, block.lag
-    _, n1, nz = phases[0][0].shape
-    staged = len(phases) > 1 or block.copies[0]
+    scratch = {}
+    staged = len(phases) > 1 or copies[0]
     planes = 1 if staged else max(1, BLOCK_CELLS // (n1 * nz))
     rows = min(n1, max(1, BLOCK_CELLS // nz))
-    for i in range(i0, i1, planes):
-        for dst, src, dx in block.copies[i % len(phases)]:
+    for i in range(0, steps, planes):
+        for dst, src, dx in copies[i % len(phases)]:
             np.copyto(dst, src[i + dx])
-        a0, a1 = max(i - lag, 0), min(i + planes, i1) - lag
+        a0, a1 = max(i - lag, 0), min(i + planes, steps) - lag
         if a0 >= a1:
             continue
         for j0 in range(0, n1, rows):
             views = [arr[a0:a1, j0 : j0 + rows] for arr in phases[a0 % len(phases)]]
-            _replay_block(block.coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:],
-                          block.scratch)
+            _replay_block(coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:], scratch)
 
 
 def _replay_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:
@@ -635,9 +617,8 @@ def run_slab(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
              x0: int, x1: int) -> None:
     """Evaluate interior columns i in [x0, x1) into `out`, in one compute_block call."""
     ny = fields.dims.ny
-    block = BoundBlock(coeffs, [grid_roles(fields, x0, x1)],
-                       tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)))
-    compute_block(block, 0, x1 - x0)
+    compute_block(coeffs, [grid_roles(fields, x0, x1)],
+                  tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)))
 
 
 def run_reference(fields: FieldSet, coeffs: AdvectionCoefficients) -> SourceSet:

@@ -19,7 +19,6 @@ from .grid import FieldSet, GridDims, SourceSet, _on_threads, check_config, zero
 from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
-    BoundBlock,
     compute_block,
     reads_per_point,
     run_slab,
@@ -122,19 +121,18 @@ def _plane_ring(arrs, j0, bw, nz):
 
 
 def _run_staged_slab(fields, coeffs, out, slab, tc, stage, batch):
-    """Per Y batch, bind one block over every staging phase and run all its X steps at once."""
+    """Per Y batch, one compute_block call over every staging phase and all its X steps."""
     nz, ny = fields.dims.nz, fields.dims.ny
     arrs = {f: getattr(fields, f).data[slab.x_begin - 1 : slab.x_end + 1] for f in "uvw"}
     for j0 in range(1, ny + 1, batch):
         bw = min(batch, ny + 1 - j0)
         copies, phases, lag = stage(arrs, j0, bw, nz)
-        # the block writes the slab's rows and reads its roles' staged rows
+        # the call writes the slab's rows and reads its roles' staged rows
         # repeated along X (stride 0)
         outs = [f.data[slab.x_begin : slab.x_end, j0 : j0 + bw] for f in (out.su, out.sv, out.sw)]
-        block = BoundBlock(coeffs, [{role: np.broadcast_to(rows, (slab.width, bw, nz))
-                                     for role, rows in roles.items()} for roles in phases],
-                           outs, copies, lag)
-        compute_block(block, 0, slab.width + lag)
+        compute_block(coeffs, [{role: np.broadcast_to(rows, (slab.width, bw, nz))
+                                for role, rows in roles.items()} for roles in phases],
+                      outs, copies, lag)
         staged = (slab.width + lag) * sum(dst.size for dst, _, _ in copies[0])
         tc.external_reads += staged
         tc.local_writes += staged

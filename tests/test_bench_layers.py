@@ -13,13 +13,7 @@ import pytest
 
 from pwadvect import kernel, schedules
 from pwadvect.grid import GeneratorSpec, GridDims, checksum, fill_fields
-from pwadvect.kernel import (
-    BoundBlock,
-    compute_block,
-    default_coefficients,
-    grid_roles,
-    run_reference,
-)
+from pwadvect.kernel import compute_block, default_coefficients, grid_roles, run_reference
 from pwadvect.schedules import ScheduleSpec, compare_outputs, run_schedule
 
 GRID = (128, 128, 64)
@@ -50,8 +44,8 @@ def test_bench_compute_block_one_block(benchmark, case):
         assert planes * dims.ny * dims.nz == kernel.BLOCK_CELLS
     roles = grid_roles(fields, 1, 1 + planes)
     out = tuple(np.zeros((planes, dims.ny, dims.nz)) for _ in range(3))
-    # bound and run once per call, as run_slab does
-    benchmark(lambda: compute_block(BoundBlock(coeffs, [roles], out), 0, planes))
+    # checked, addressed and run in one call, as run_slab does
+    benchmark(compute_block, coeffs, [roles], out)
     assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
 
 
@@ -67,30 +61,30 @@ class TestNumpyReplay:
 
 def test_bench_compute_block_x_reordered_block(monkeypatch, benchmark, case):
     # one whole staged Y batch of the 1-engine x_reordered schedule,
-    # y_batch = 64: the block of the first batch, its three ring phases
-    # bound once, and one call running all nx + 2 X steps, each three plane
-    # copies and then one row
+    # y_batch = 64: the call of the first batch, over its three ring phases
+    # and all nx + 2 X steps, each three plane copies and then one row
     dims, fields, coeffs = case
     runs = []
 
-    def running(block, i0, i1):
-        runs.append((block, i0, i1))
-        return compute_block(block, i0, i1)
+    def running(*args):
+        runs.append(args)
+        return compute_block(*args)
 
     monkeypatch.setattr(schedules, "compute_block", running)
     ref = run_reference(fields, coeffs)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 64))
-    block, i0, i1 = runs[0]
-    assert (i0, i1) == (0, dims.nx + 2) and len(block.phases) == 3
-    for arr in block.phases[0][-3:]:
+    args = runs[0]
+    _, phases, outs, _, lag = args
+    assert (len(outs[0]), lag, len(phases)) == (dims.nx, 2, 3)
+    for arr in outs:
         arr.fill(0.0)
-    benchmark(compute_block, block, i0, i1)
+    benchmark(compute_block, *args)
     assert compare_outputs(out, ref).bitwise_equal
 
 
 @pytest.mark.parametrize("variant", ["column_buffered", "y_batched"])
 def test_bench_run_schedule_staged(benchmark, case, variant):
-    # one whole 1-engine run, y_batch = 64: a block bound per Y row
+    # one whole 1-engine run, y_batch = 64: one compute_block call per Y row
     # (column_buffered) or Y batch, and 17 role rows staged per X step
     dims, fields, coeffs = case
     out, _, _ = benchmark(run_schedule, fields, coeffs, ScheduleSpec(variant, 64))

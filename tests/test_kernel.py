@@ -1,5 +1,4 @@
 import ctypes
-import gc
 import json
 import os
 import platform
@@ -11,6 +10,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +31,6 @@ from pwadvect.grid import (
 from pwadvect.kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
-    BoundBlock,
     FlopProfile,
     advect_point_u,
     advect_point_v,
@@ -54,11 +53,6 @@ def random_coeffs(nz, seed=11):
     rng = np.random.default_rng(seed)
     return AdvectionCoefficients(float(rng.random()), float(rng.random()),
                                  rng.random(nz), rng.random(nz))
-
-
-def evaluate(coeffs, roles, out):
-    """Bind a block and run all of it, as the reference run does."""
-    compute_block(BoundBlock(coeffs, [roles], out), 0, out[0].shape[0])
 
 
 def test_zero_fields_zero_everywhere():
@@ -229,9 +223,9 @@ def _block_shapes(monkeypatch, block_cells):
     calls, blocks = [], []
     run, replay = kernel.compute_block, kernel._replay_block
 
-    def running(block, a0, a1):
-        calls.append((a1 - a0, block.phases[0][0].shape[1]))
-        return run(block, a0, a1)
+    def running(coeffs, phases, out, *staging):
+        calls.append(out[0].shape[:2])
+        return run(coeffs, phases, out, *staging)
 
     def replaying(coeffs, roles, out, scratch):
         blocks.append(roles[("u", 0, 0)].shape[:2])
@@ -363,7 +357,7 @@ def test_replay_bitwise_equals_formulas(case):
     sentinel = -1.25e-300
     out = tuple(np.full(roles[("u", 0, 0)].shape, sentinel) for _ in range(3))
     with np.errstate(all="ignore"):
-        evaluate(coeffs, roles, out)
+        compute_block(coeffs, [roles], out)
         for (formula, spec), got in zip(kernel._FORMULAS, out):
             if nz > 2:
                 ops = [roles[(f, dx, dy)][..., 1 + dk : t + dk] for f, dx, dy, dk in spec]
@@ -463,6 +457,21 @@ def test_kernel_source_is_the_tapes():
     assert len(arithmetic) == steps
 
 
+def test_declared_argtypes_match_the_source():
+    # a ctypes declaration that disagrees with the C parameter list is
+    # undefined behaviour, so read each list from the source; no build
+    kinds = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "double": ctypes.c_double}
+    source = kernel.kernel_source()
+    lib = SimpleNamespace(pwadvect_block=SimpleNamespace(), pwadvect_lcg=SimpleNamespace())
+    kernel._declare(lib)
+    for name in ("pwadvect_block", "pwadvect_lcg"):
+        params = re.search(rf"void {name}\(([^)]*)\)", source).group(1).split(",")
+        want = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]] for p in params]
+        fn = getattr(lib, name)
+        assert list(fn.argtypes) == want and fn.restype is None, name
+    assert len(lib.pwadvect_block.argtypes) == 12 and len(lib.pwadvect_lcg.argtypes) == 3
+
+
 def _compile(source: str, flags, path: Path) -> subprocess.CompletedProcess:
     return subprocess.run(["gcc", *flags, "-x", "c", "-", "-o", str(path)],
                           input=source, capture_output=True, text=True, check=True)
@@ -525,10 +534,10 @@ def test_each_clone_bitwise_equals_replay(monkeypatch, tmp_path, level):
             monkeypatch.setattr(kernel, "_lib", lib)
             out = tuple(np.full((3, 5, nz), -1.25e-300) for _ in range(3))
             with np.errstate(all="ignore"):
-                evaluate(coeffs, roles, out)
+                compute_block(coeffs, [roles], out)
             outs.append(out)
         assert all(_same_bits(a, b) for a, b in zip(*outs))
-    # x_reordered binds its roles as ring rows repeated along X with stride 0
+    # x_reordered passes its roles as ring rows repeated along X with stride 0
     dims = GridDims(7, 9, 19)
     fields = fill_fields(dims, GeneratorSpec.random(5))
     for f in (fields.u, fields.v, fields.w):
@@ -574,13 +583,13 @@ def test_fallback_warns_once_and_stays_bitwise(monkeypatch, tmp_path, cause):
 
 
 def _bad_block(case):
-    """A 3x4 block of columns (nz = 5) with one defect, as (coeffs, roles, out, rows)."""
+    """A 3x4 block of columns (nz = 5) with one defect, as (coeffs, phases, out, lag)."""
     nz = 5
     roles = {role: np.ones((3, 4, nz)) for role in COMPUTE_ROLES}
     out = [np.zeros((3, 4, nz)) for _ in range(3)]
     coeffs = default_coefficients(nz)
-    rows = {"rows past the end": (0, 4), "negative row": (-1, 2),
-            "reversed rows": (2, 1)}.get(case, (0, 3))
+    # a lag of -1 would run rows 1 and 2; 1.0 is no int
+    lag = {"negative lag": -1, "non-int lag": 1.0}.get(case, 0)
     if case == "role shape":
         roles[("v", 0, 0)] = np.ones((3, 5, nz))
     elif case == "role dtype":
@@ -598,50 +607,37 @@ def _bad_block(case):
     elif case == "three leading axes":
         roles = {role: np.ones((2, 3, 4, nz)) for role in COMPUTE_ROLES}
     elif case in ("one leading axis", "no leading axis"):
-        # one row of an (n1, nz) or (nz,) block is in range; the shape is not
         lead = (4,) if case == "one leading axis" else ()
         roles = {role: np.ones((*lead, nz)) for role in COMPUTE_ROLES}
         out = [np.zeros((*lead, nz)) for _ in range(3)]
-        rows = (0, 1)
     elif case == "not an array":
         roles[("u", 0, 0)] = [[[1.0] * nz] * 4] * 3
-    return coeffs, roles, tuple(out), rows
+    return coeffs, [] if case == "no phases" else [roles], tuple(out), lag
 
 
 @pytest.mark.parametrize("case", ["role shape", "role dtype", "role k-stride", "missing role",
                                   "coefficient nz", "read-only output", "output k-stride",
                                   "three leading axes", "one leading axis", "no leading axis",
-                                  "not an array", "rows past the end",
-                                  "negative row", "reversed rows"])
+                                  "not an array", "negative lag", "non-int lag", "no phases"])
 def test_compute_block_rejects_bad_arrays(case):
-    coeffs, roles, out, rows = _bad_block(case)
+    coeffs, phases, out, lag = _bad_block(case)
     with pytest.raises(ValueError):
-        compute_block(BoundBlock(coeffs, [roles], out), *rows)
+        compute_block(coeffs, phases, out, lag=lag)
     assert not any(o.any() for o in out)
 
 
-def test_bound_block_outlives_callers_arrays():
-    # the block alone holds the roles, outputs and coefficients it addressed
+def test_compute_block_takes_strided_coefficients():
+    # the kernel gets contiguous copies of strided tzc1 and tzc2
     dims = GridDims(5, 4, 6)
     fields = fill_fields(dims, GeneratorSpec.random(29))
     coeffs = random_coeffs(dims.nz)
     ref = run_reference(fields, coeffs)
     out = zeros_sources(dims)
-    shape = (dims.nx, dims.ny, dims.nz)
-    roles = {role: view.copy() for role, view in grid_roles(fields, 1, 6).items()}
-    views = tuple(np.zeros(shape) for _ in range(3))
-    # strided coefficients, so that the kernel gets contiguous copies of them
     strided = [np.repeat(z, 2)[::2] for z in (coeffs.tzc1, coeffs.tzc2)]
-    block = BoundBlock(AdvectionCoefficients(coeffs.tcx, coeffs.tcy, *strided), [roles], views)
-    del roles, views, strided
-    gc.collect()
-    # take back any buffer freed: role-, coefficient- and descriptor-sized
-    junk = [np.full(n, np.nan) for n in (np.prod(shape), dims.nz, 3 * 20) for _ in range(40)]
-    compute_block(block, 0, dims.nx)
-    for f, src in zip(block.phases[0][-3:], (out.su, out.sv, out.sw)):
-        src.data[1:-1, 1:-1] = f
+    compute_block(AdvectionCoefficients(coeffs.tcx, coeffs.tcy, *strided),
+                  [grid_roles(fields, 1, dims.nx + 1)],
+                  tuple(f.data[1:-1, 1:-1] for f in (out.su, out.sv, out.sw)))
     assert compare_outputs(ref, out).bitwise_equal
-    del junk
 
 
 UNWRITTEN = -1.25e-300
@@ -682,26 +678,19 @@ def _staged_block(case=None):
 def test_staged_block_rejects_bad_copies(case):
     coeffs, phases, out, copies, _ = _staged_block(case)
     with pytest.raises(ValueError):
-        compute_block(BoundBlock(coeffs, phases, out, copies), 0, 3)
+        compute_block(coeffs, phases, out, copies)
     assert not any(o.any() for o in out)
     assert all((dst == UNWRITTEN).all() for phase in copies for dst, _, _ in phase)
 
 
-def test_staged_block_outlives_callers_arrays():
-    # a staged block holds its copies' buffers too; run in one call, it
-    # equals the block bound on the unstaged role planes
+def test_staged_block_equals_unstaged_roles():
+    # staged per X step, the block equals the one on the unstaged role planes
     coeffs, phases, out, copies, unstaged = _staged_block()
     want = tuple(np.zeros_like(o) for o in out)
-    evaluate(coeffs, unstaged, want)
-    block = BoundBlock(coeffs, phases, out, copies)
-    assert block.steps == 3
-    del phases, out, copies, unstaged
-    gc.collect()
-    # take back any buffer freed: row-, source- and copy-table-sized
-    junk = [np.full(n, np.nan) for n in (4 * 5, 5 * 4 * 5, 17 * 5) for _ in range(40)]
-    compute_block(block, 0, block.steps)
-    assert all(np.array_equal(a, b) for a, b in zip(block.phases[0][-3:], want))
-    del junk
+    compute_block(coeffs, [unstaged], want)
+    compute_block(coeffs, phases, out, copies)
+    assert all(w[..., 1:].any() for w in want)
+    assert all(np.array_equal(a, b) for a, b in zip(out, want))
 
 
 def test_model_path_builds_no_kernel():
@@ -722,9 +711,9 @@ def test_model_path_builds_no_kernel():
 
 @pytest.mark.usefixtures("numpy_replay")
 class TestNumpyReplay:
-    """The bitwise, block and bound-block tests above, again with compute_block
-    pinned to the numpy replay; at module level they run on the compiled kernel
-    when gcc is found."""
+    """The bitwise, block and compute_block tests above, again pinned to the
+    numpy replay; at module level they run on the compiled kernel when gcc is
+    found."""
 
     test_replay_bitwise_equals_formulas = staticmethod(test_replay_bitwise_equals_formulas)
     test_block_edges_bitwise_equal_to_oracle = staticmethod(
@@ -733,8 +722,8 @@ class TestNumpyReplay:
     test_reference_schedule_blocks_each_slab = staticmethod(
         test_reference_schedule_blocks_each_slab)
     test_compute_block_rejects_bad_arrays = staticmethod(test_compute_block_rejects_bad_arrays)
-    test_bound_block_outlives_callers_arrays = staticmethod(
-        test_bound_block_outlives_callers_arrays)
+    test_compute_block_takes_strided_coefficients = staticmethod(
+        test_compute_block_takes_strided_coefficients)
     test_staged_block_rejects_bad_copies = staticmethod(test_staged_block_rejects_bad_copies)
-    test_staged_block_outlives_callers_arrays = staticmethod(
-        test_staged_block_outlives_callers_arrays)
+    test_staged_block_equals_unstaged_roles = staticmethod(
+        test_staged_block_equals_unstaged_roles)

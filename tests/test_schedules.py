@@ -87,35 +87,31 @@ def test_engine_count_independence():
 def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
     # only the numpy replay evaluates into scratch slots
     # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab; a
-    # block keeps one scratch per shape it replays, shared by its staging
+    # call makes one scratch per shape it replays, shared by its staging
     # phases, and every X step evaluates one row of its batch, so each
-    # block makes one
+    # call makes one
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
-    real_scratch, real_bind = kernel.new_scratch, schedules.BoundBlock
-    calls, blocks, runs = [], [], []
+    ref = run_reference(fields, coeffs)
+    real_scratch, real_run = kernel.new_scratch, kernel.compute_block
+    made, runs = threading.local(), []
 
     def counting(shape):
-        calls.append(shape)
+        made.shapes.append(shape)
         return real_scratch(shape)
 
-    def binding(*args):
-        blocks.append(real_bind(*args))
-        return blocks[-1]
-
-    def running(block, i0, i1):
-        runs.append(block)
-        return kernel.compute_block(block, i0, i1)
+    def running(coeffs, phases, out, *staging):
+        made.shapes = []
+        real_run(coeffs, phases, out, *staging)
+        runs.append((len(phases), out[0].shape[1], made.shapes))
 
     monkeypatch.setattr(kernel, "new_scratch", counting)
-    monkeypatch.setattr(schedules, "BoundBlock", binding)
     monkeypatch.setattr(schedules, "compute_block", running)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, 4, engines=3))
-    assert len(calls) == len(blocks) == len(runs)
-    assert {id(b) for b in blocks} == {id(r) for r in runs}
-    assert {len(b.phases) for b in blocks} == {3 if variant == "x_reordered" else 1}
-    assert all(list(b.scratch) == [(1, b.phases[0][0].shape[1], dims.nz)] for b in blocks)
-    assert {shape[1] for shape in calls} == widths
-    assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
+    assert len(runs) == 3 * (dims.ny if variant == "column_buffered" else 3)
+    assert {phases for phases, _, _ in runs} == {3 if variant == "x_reordered" else 1}
+    assert all(shapes == [(1, n1, dims.nz)] for _, n1, shapes in runs)
+    assert {n1 for _, n1, _ in runs} == widths
+    assert compare_outputs(out, ref).bitwise_equal
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -140,36 +136,29 @@ def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phas
         monkeypatch.setattr(kernel, "_lib", None)
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
     ref = run_reference(fields, coeffs)
-    binds, runs, checks = [], [], []
-    bind, run, check = schedules.BoundBlock, schedules.compute_block, kernel._checked_arrays
+    runs, checks = [], []
+    run, check = schedules.compute_block, kernel._checked_arrays
 
-    def binding(*args):
-        block = bind(*args)
-        binds.append(block)
-        return block
-
-    def running(block, i0, i1):
-        runs.append((block, i0, i1))
-        return run(block, i0, i1)
+    def running(*args):
+        runs.append(args)
+        return run(*args)
 
     def checking(*args):
         checks.append(args)
         return check(*args)
 
-    monkeypatch.setattr(schedules, "BoundBlock", binding)
     monkeypatch.setattr(schedules, "compute_block", running)
     monkeypatch.setattr(kernel, "_checked_arrays", checking)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, batch, engines=3))
     assert compare_outputs(out, ref) == OutputComparison(True, 0.0, 0)
-    # per (engine, Y batch), keyed by the su rows it writes: one block
-    # holding every staging phase, each phase checked only at bind, and one
-    # run over all the block's X steps, the slab's 2 columns plus the lag
+    # per (engine, Y batch), keyed by the su rows it writes: one call over
+    # every staging phase, each phase checked once, running all its X steps,
+    # the slab's 2 columns plus the lag
     n_batches = 3 * -(-dims.ny // batch)
-    assert len({block.phases[0][-3].ctypes.data for block in binds}) == n_batches
-    assert len(binds) == len(runs) == n_batches and len(checks) == n_batches * phases
-    assert all(len(block.phases) == phases and block.lag == lag for block in binds)
-    # engine threads may interleave, so compare as sets (binds keeps the blocks alive)
-    assert {(id(b), i0, i1) for b, i0, i1 in runs} == {(id(b), 0, 2 + lag) for b in binds}
+    assert len({outs[0].ctypes.data for _, _, outs, _, _ in runs}) == n_batches
+    assert len(runs) == n_batches and len(checks) == n_batches * phases
+    assert all(len(roles) == len(copies) == phases and got == lag and len(outs[0]) == 2
+               for _, roles, outs, copies, got in runs)
 
 
 def test_engine_threads_capped_by_cores(monkeypatch):
@@ -189,35 +178,30 @@ def test_engine_threads_capped_by_cores(monkeypatch):
 
 
 def _record_pieces(monkeypatch, cores):
-    """Patch the core count to `cores`; record the reference run's pools,
-    binds and kernel runs, with the thread of each run."""
-    pools, binds, runs = [], [], []
-    bind, run = kernel.BoundBlock, kernel.compute_block
+    """Patch the core count to `cores`; record the reference run's pools and
+    kernel calls, as (phases, copies, lag, out, thread)."""
+    pools, runs = [], []
+    run = kernel.compute_block
 
     class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    def binding(*args):
-        binds.append(bind(*args))
-        return binds[-1]
-
-    def running(block, i0, i1):
-        runs.append((block, i0, i1, threading.get_ident()))
-        return run(block, i0, i1)
+    def running(coeffs, phases, out, copies=(), lag=0):
+        runs.append((len(phases), copies, lag, out, threading.get_ident()))
+        return run(coeffs, phases, out, copies, lag)
 
     monkeypatch.setattr(schedules.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(kernel, "BoundBlock", binding)
     monkeypatch.setattr(kernel, "compute_block", running)
-    return pools, binds, runs
+    return pools, runs
 
 
-def _piece_widths(out, binds):
-    """The X widths of the bound pieces, in X order; they must tile 1..nx."""
+def _piece_widths(out, runs):
+    """The X widths of the pieces the calls write, in X order; they must tile 1..nx."""
     su, stride = out.su.data, out.su.data.strides[0]
-    pieces = sorted((b.phases[0][-3].ctypes.data, len(b.phases[0][-3])) for b in binds)
+    pieces = sorted((outs[0].ctypes.data, len(outs[0])) for _, _, _, outs, _ in runs)
     starts = [(ptr - su.ctypes.data) // stride for ptr, _ in pieces]
     widths = [n for _, n in pieces]
     assert starts == [1 + sum(widths[:p]) for p in range(len(widths))]
@@ -246,18 +230,16 @@ def test_reference_pieces_use_every_core(monkeypatch, ny):
     one_core = {}
     for (cores, engines), widths in PIECES[ny].items():
         with monkeypatch.context() as m:
-            pools, binds, runs = _record_pieces(m, cores)
+            pools, runs = _record_pieces(m, cores)
             out, tc, _ = run_schedule(fields, coeffs, ScheduleSpec("reference", engines=engines))
         assert compare_outputs(ref, out) == OutputComparison(True, 0.0, 0), (cores, engines)
         assert tc == one_core.setdefault(engines, tc)
-        # each piece is bound once and run by one compute_block call over its width
-        assert _piece_widths(out, binds) == widths
-        assert len(runs) == len(binds)
-        assert ({(id(b), 0, len(b.phases[0][-3])) for b in binds}
-                == {(id(b), i0, i1) for b, i0, i1, _ in runs})
+        # each piece is run by one compute_block call: one phase, no copies, lag 0
+        assert _piece_widths(out, runs) == widths
+        assert all(r[:3] == (1, (), 0) for r in runs)
         workers = min(len(widths), cores)
         assert pools == ([workers] if workers > 1 else [])
-        assert len({r[3] for r in runs}) <= cores
+        assert len({r[-1] for r in runs}) <= cores
 
 
 def test_reference_below_piece_cells_is_not_cut(monkeypatch):
@@ -265,16 +247,16 @@ def test_reference_below_piece_cells_is_not_cut(monkeypatch):
     for nx, ny, nz in ((8, 8, 8), (10, 4, 5)):
         dims, fields, coeffs = case(nx=nx, ny=ny, nz=nz)
         with monkeypatch.context() as m:
-            pools, binds, runs = _record_pieces(m, 3)
+            pools, runs = _record_pieces(m, 3)
             out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("reference"))
         assert pools == [] and len(runs) == 1
-        assert _piece_widths(out, binds) == [nx]
+        assert _piece_widths(out, runs) == [nx]
         assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
 
 
 @pytest.mark.usefixtures("numpy_replay")
 class TestNumpyReplay:
-    """The reference's pieces on the numpy replay, which keeps scratch per block."""
+    """The reference's pieces on the numpy replay, which makes scratch per call."""
 
     test_reference_pieces_use_every_core = staticmethod(test_reference_pieces_use_every_core)
     test_reference_below_piece_cells_is_not_cut = staticmethod(
