@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import platform
 import statistics
@@ -75,22 +76,27 @@ def _host_description() -> str:
     return f"{platform.platform()} python{platform.python_version()} numpy{np.__version__}"
 
 
-def _write_rows(rows, columns, out: str | None, fmt: str) -> None:
-    if out is None:
+def _write_rows(rows, columns, out: str | None, fmt: str | None) -> None:
+    """Rows as `fmt` to stdout, or to the file `out`; with no `fmt`, as an
+    aligned table to stdout and as CSV to a file."""
+    fmt = fmt or (None if out is None else "csv")
+    if fmt == "json":
+        text = json.dumps([{c: r.get(c) for c in columns} for r in rows], indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([columns, *([_cell(r.get(c)) for c in columns] for r in rows)])
+        text = buf.getvalue()
+    else:
         widths = {c: max(len(c), *(len(_cell(r.get(c))) for r in rows)) for c in columns}
-        print("  ".join(c.ljust(widths[c]) for c in columns))
-        for r in rows:
-            print("  ".join(_cell(r.get(c)).ljust(widths[c]) for c in columns))
+        text = "".join("  ".join(cells) + "\n" for cells in (
+            [c.ljust(widths[c]) for c in columns],
+            *([_cell(r.get(c)).ljust(widths[c]) for c in columns] for r in rows)))
+    if out is None:
+        sys.stdout.write(text)
         return
     path = Path(out)
-    if fmt == "json":
-        path.write_text(json.dumps([{c: r.get(c) for c in columns} for r in rows], indent=2) + "\n")
-    else:
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for r in rows:
-                writer.writerow([_cell(r.get(c)) for c in columns])
+    with path.open("w", newline="") as fh:
+        fh.write(text)
     print(f"wrote {len(rows)} row(s) to {path} ({fmt})")
 
 
@@ -341,10 +347,15 @@ def cmd_validate(args, parser) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+def _add_output_args(sub):
+    sub.add_argument("--out", metavar="FILE", help="write report rows to FILE")
+    sub.add_argument("--format", choices=("csv", "json"),
+                     help="format of the rows; default: CSV in --out FILE, else an aligned table")
+
+
 def _add_common_model_args(sub):
     sub.add_argument("--params", metavar="FILE", help="parameter file (see model-defaults.params)")
-    sub.add_argument("--out", metavar="FILE", help="write report rows to FILE")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_args(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--gen", choices=("uniform", "trig", "random"), default="random")
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--reps", type=int, default=5)
-    bench.add_argument("--out", metavar="FILE", help="write report rows to FILE")
-    bench.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_args(bench)
     bench.set_defaults(func=cmd_bench)
 
     model = subs.add_parser("model", help="predict kernel/DMA/total time for one configuration")

@@ -198,13 +198,22 @@ def _lcg_jump(n: int) -> tuple[int, int]:
     return a, c
 
 
-# Values each thread of lcg_fill's compiled path makes at least, 2 MiB.
-_LCG_THREAD_VALUES = 1 << 18
+# Values or cells each thread gets at least (2 MiB of doubles), so that its
+# share of the work outweighs handing it to the thread.
+_THREAD_MIN = 1 << 18
 
 
-def _on_threads(fn, jobs: list, workers: int) -> list:
-    """[fn(job) for job in jobs], on a pool of `workers` threads when that is
-    more than one, else on the calling thread."""
+def _parts(work: int, rows: int, sharers: int = 1) -> int:
+    """How many pieces to cut `work` values, laid out in `rows` whole rows,
+    into when `sharers` such cuts run at once: one per _THREAD_MIN values,
+    at most one per row and ceil(cores / sharers), at least one."""
+    return max(1, min(-(-(os.cpu_count() or 1) // sharers), rows, work // _THREAD_MIN))
+
+
+def _on_threads(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs], on min(len(jobs), cores) threads, or on the
+    calling thread when that is one."""
+    workers = min(len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -243,20 +252,13 @@ def _segments(views: list[np.ndarray], owners: list[int]) -> np.ndarray:
 
 
 def _split(table: np.ndarray, parts: int) -> list[tuple[int, np.ndarray]]:
-    """The stream of `table` cut into `parts` equal contiguous ranges:
-    (offset of the range's first value, its segment table) for each."""
-    ends = np.cumsum(table[:, 1])
-    starts = ends - table[:, 1]
-    bounds = [int(ends[-1]) * p // parts for p in range(parts + 1)]
-    pieces = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        r0 = int(np.searchsorted(ends, lo, side="right"))
-        r1 = int(np.searchsorted(starts, hi, side="left"))
-        piece = table[r0:r1].copy()
-        skip = lo - int(starts[r0])
-        piece[0] += (8 * skip, -skip)
-        piece[-1, 1] -= int(ends[r1 - 1]) - hi
-        pieces.append((lo, piece))
+    """The rows of `table` cut into `parts` runs of whole rows, their row
+    counts differing by at most one, longer first: (offset of the run's
+    first value in the stream, its segment table) for each."""
+    pieces, offset = [], 0
+    for run in np.array_split(table, parts):
+        pieces.append((offset, run))
+        offset += int(run[:, 1].sum())
     return pieces
 
 
@@ -275,14 +277,14 @@ def lcg_fill(seed: int, arrays) -> None:
 
     The stream is generated by `pwadvect_lcg` in the library that holds the
     compiled kernel (see kernel.kernel_source), loaded or built on the first
-    call that has values to make. A fill of n values runs on
-    min(cores, n // _LCG_THREAD_VALUES) threads, each making one contiguous
-    range of the stream from the state jumped ahead to its start (_lcg_jump),
-    and on the calling thread when that is at most one. Without that library
-    it is evaluated in numpy on the calling thread, in chunks of at most
-    _LCG_CHUNK values with jump tables built once per call (uint64 arithmetic
-    wraps mod 2^64), so large fields need neither a Python-level loop per
-    element nor a stream-sized array. Both give the same bits.
+    call that has values to make. A fill of n values in r rows is cut into
+    _parts(n, r) runs of whole rows (_split), each generated by one job of
+    _on_threads from the state jumped ahead to its start (_lcg_jump).
+    Without that library it is evaluated in numpy on the calling thread, in
+    chunks of at most _LCG_CHUNK values with jump tables built once per call
+    (uint64 arithmetic wraps mod 2^64), so large fields need neither a
+    Python-level loop per element nor a stream-sized array. Both give the
+    same bits.
     """
     views = [_fill_rows(n, a) for n, a in enumerate(arrays)]
     owners = [n for n, v in enumerate(views) if v.size]
@@ -294,14 +296,12 @@ def lcg_fill(seed: int, arrays) -> None:
 
     lib, s = kernel._compiled(), seed & _LCG_MASK
     if lib is not None:
-        parts = max(1, min(os.cpu_count() or 1, int(table[:, 1].sum()) // _LCG_THREAD_VALUES))
-
         def fill(piece):
             offset, segments = piece
             a, c = _lcg_jump(offset)
             lib.pwadvect_lcg((a * s + c) & _LCG_MASK, len(segments), segments.ctypes.data)
 
-        _on_threads(fill, _split(table, parts), parts)
+        _on_threads(fill, _split(table, _parts(int(table[:, 1].sum()), len(table))))
         return
     mult, inc = _lcg_jump_tables(min(int(table[:, 1].max()), _LCG_CHUNK))
     state = np.empty_like(mult)
@@ -373,7 +373,6 @@ def checksum(f: Field3D) -> str:
 
 
 def checksums(fields) -> list[str]:
-    """`checksum` of each field, in order, hashed in min(len(fields), cores)
-    threads (hashlib releases the GIL while it hashes); on one core, in turn."""
-    fields = list(fields)
-    return _on_threads(checksum, fields, min(len(fields), os.cpu_count() or 1))
+    """`checksum` of each field, in order, one field per job of _on_threads
+    (hashlib releases the GIL while it hashes)."""
+    return _on_threads(checksum, list(fields))

@@ -9,13 +9,12 @@ double-precision elements; conventions are in docs/model-notes.md section 3.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldSet, GridDims, SourceSet, _on_threads, check_config, zeros_sources
+from .grid import FieldSet, GridDims, SourceSet, _on_threads, _parts, check_config, zeros_sources
 from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
@@ -25,10 +24,6 @@ from .kernel import (
 )
 
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
-
-# Cells each X piece of a reference slab gets at least, so that a piece's
-# kernel call outweighs its thread hand-off (see run_schedule).
-_PIECE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -164,25 +159,22 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
 
     Inputs are shared read-only across engines; each engine writes only its
     X slab of the output, so results are independent of worker interleaving.
-    The reference cuts each slab further into min(ceil(cores / engines),
-    width, cells // _PIECE_CELLS) X pieces, at least one, each run as its own
-    slab: a 1-engine run then uses every core for the kernel and for the
-    first touch of the fresh outputs, and since its counters are linear in
-    columns, with no scratch, the pieces sum to the same traffic. Engines
-    are logical: the jobs run on min(jobs, cores) threads.
+    The reference cuts each of its `engines` slabs further into
+    grid._parts(cells, width, engines) X pieces, each run as its own slab: a
+    1-engine run then uses every core for the kernel and for the first touch
+    of the fresh outputs, and since its counters are linear in columns, with
+    no scratch, the pieces sum to the same traffic. Engines are logical: the
+    jobs run on grid._on_threads.
     """
     dims = fields.dims
     spec.validate(dims)
-    cores = os.cpu_count() or 1
     jobs = partition_domain(dims, spec.engines)
     if spec.variant == "reference":
-        jobs = [piece for slab in jobs for piece in slab.split(max(1, min(
-            -(-cores // spec.engines), slab.width,
-            slab.width * dims.ny * dims.nz // _PIECE_CELLS)))]
+        jobs = [piece for slab in jobs for piece in slab.split(
+            _parts(slab.width * dims.ny * dims.nz, slab.width, spec.engines))]
     out = zeros_sources(dims)
     t0 = time.perf_counter()
-    counters = _on_threads(lambda slab: _run_slab(fields, coeffs, out, slab, spec), jobs,
-                           min(len(jobs), cores))
+    counters = _on_threads(lambda slab: _run_slab(fields, coeffs, out, slab, spec), jobs)
     wall = time.perf_counter() - t0
     traffic = TrafficReport()
     for tc in counters:
@@ -205,15 +197,10 @@ def _ordered_bits(arr: np.ndarray) -> np.ndarray:
 
 def _max_ulp(a: np.ndarray, b: np.ndarray) -> int:
     oa, ob = _ordered_bits(a), _ordered_bits(b)
-    same_side = (oa >= 0) == (ob >= 0)
-    worst = 0
-    if same_side.any():
-        worst = int(np.abs(oa[same_side] - ob[same_side]).max())
-    if (~same_side).any():
-        ua = np.abs(oa[~same_side]).astype(np.uint64)
-        ub = np.abs(ob[~same_side]).astype(np.uint64)
-        worst = max(worst, int((ua + ub).max()))
-    return worst
+    ua, ub = oa.view(np.uint64), ob.view(np.uint64)
+    # |oa - ob| can exceed int64 but not uint64, where the smaller is
+    # subtracted from the larger mod 2^64
+    return int(np.where(oa >= ob, ua - ub, ub - ua).max(initial=0))
 
 
 def _bits_equal(pairs) -> bool:

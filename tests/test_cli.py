@@ -115,6 +115,46 @@ def test_bench_traffic_report_in_output(tmp_path):
     assert rows[0]["scratch_bytes_peak"] == 9 * (8 + 2) * 4 * 8  # three 3-plane rings
 
 
+def _rows(text: str, fmt: str) -> list[dict]:
+    """Report rows parsed from `text`, without the fields that vary per run."""
+    rows = json.loads(text) if fmt == "json" else list(csv.DictReader(io.StringIO(text)))
+    return [{k: v for k, v in r.items() if not k.startswith("wall_")} for r in rows]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, columns", [
+    (("bench", "--grid", "6x5x4", "--reps", "1"), cli.BENCH_COLUMNS),
+    (("model", "--grid", "64x64x64", "--engines", "2"), cli.MODEL_COLUMNS),
+])
+def test_format_applies_to_stdout(tmp_path, capsys, argv, columns, fmt):
+    path = tmp_path / f"rows.{fmt}"
+    assert run_cli(*argv, "--out", str(path), "--format", fmt) == 0
+    assert capsys.readouterr().out == f"wrote 1 row(s) to {path} ({fmt})\n"
+    saved = path.read_text()
+    assert run_cli(*argv, "--format", fmt) == 0
+    printed = capsys.readouterr().out
+    assert _rows(printed, fmt) == _rows(saved, fmt)
+    assert list(_rows(printed, fmt)[0]) == [c for c in columns if not c.startswith("wall_")]
+    # without --format, stdout keeps the aligned table
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out.split("\n")[0].split() == list(columns)
+
+
+def test_bench_fails_when_a_repetition_changes_the_digest(monkeypatch, capsys):
+    run, calls = cli.run_schedule, []
+
+    def drifting(fields, coeffs, spec):
+        out, tc, wall = run(fields, coeffs, spec)
+        calls.append(spec)
+        out.sv.data[1, 1, -1] += len(calls) - 1  # the second repetition differs
+        return out, tc, wall
+
+    monkeypatch.setattr(cli, "run_schedule", drifting)
+    assert run_cli("bench", "--grid", "4x4x4", "--reps", "2") == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err == "FAIL reference: checksum changed between repetitions\n"
+
+
 def test_bench_rejects_bad_schedule():
     assert run_cli("bench", "--grid", "4x4x4", "--schedule", "quantum") == 2
 

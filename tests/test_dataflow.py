@@ -189,6 +189,19 @@ def test_calibrate_degenerate_sets_rejected():
                   pipe, 64)
 
 
+def test_calibrate_rejects_observation_faster_than_compute():
+    pipe, dims = PipelineSpec(72, 1, 310e6), GridDims(64, 64, 64)
+    compute = kernel_compute_cycles(dims, pipe, 64) / pipe.clock_hz
+    for seconds in (compute, compute / 2):
+        with pytest.raises(ValueError, match="faster than modeled compute alone"):
+            calibrate([(dims, 1, seconds), (dims, 4, 1.0)], pipe, 64)
+
+
+def test_kernel_time_rejects_no_controllers():
+    with pytest.raises(ValueError, match="controllers must be >= 1"):
+        kernel_time(GRID_LADDER, PARAMS.pipeline, PARAMS.memory, 64, engines=1, controllers=0)
+
+
 def test_gflops_examples():
     assert gflops(268.3e6, FlopProfile(), 0.990) == pytest.approx(14.36, abs=0.1)
     assert gflops(268.3e6, FlopProfile(), 3.386) == pytest.approx(4.2, abs=0.1)

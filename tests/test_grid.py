@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import shutil
@@ -14,17 +15,21 @@ from pwadvect import grid, kernel
 from pwadvect.dataflow import kernel_time
 from pwadvect.grid import (
     Field3D,
+    FieldSet,
     GeneratorSpec,
     GridDims,
     GridError,
+    SourceSet,
     check_config,
     checksum,
     checksums,
     fill_fields,
     lcg_doubles,
     lcg_fill,
+    zeros_field,
 )
 from pwadvect.params import ModelParams
+from pwadvect.schedules import Slab
 from naive_oracle import naive_lcg_doubles
 
 GOLDENS = json.loads((Path(__file__).parent / "goldens.json").read_text())
@@ -201,9 +206,10 @@ def test_lcg_jump_equals_naive_stepping():
             assert (a * seed + c) & grid._LCG_MASK == stepped[n]
 
 
-# Array sizes of one stream; with 1-4 threads the cuts fall on array edges
-# and inside arrays, on and off the generator's 8-lane steps (e.g. (24, 40)
-# cuts at 32 = 8 into the second array with 2 threads, at 21 and 42 with 3).
+# Array sizes of one stream; each array is one row, so with 1-4 threads the
+# runs of whole rows start on and off the generator's 8-lane steps, at
+# uneven value counts and next to empty arrays (e.g. (5, 0, 9, 0, 16, 1, 23, 3)
+# cuts at 30 with 2 threads, at 14 and 31 with 3).
 _SPLIT_SIZES = [(64,), (24, 40), (5, 0, 9, 0, 16, 1, 23, 3), (0, 3, 0), (1, 2)]
 
 
@@ -212,7 +218,7 @@ _SPLIT_SIZES = [(64,), (24, 40), (5, 0, 9, 0, 16, 1, 23, 3), (0, 3, 0), (1, 2)]
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_threaded_fill_equals_numpy_path_and_naive_stream(monkeypatch, cores, seed):
     # one value per thread suffices, so the threaded path runs on any host
-    monkeypatch.setattr(grid, "_LCG_THREAD_VALUES", 1)
+    monkeypatch.setattr(grid, "_THREAD_MIN", 1)
     monkeypatch.setattr(grid.os, "cpu_count", lambda: cores)
     for sizes in _SPLIT_SIZES:
         got = [np.full(n, -1.0) for n in sizes]
@@ -223,7 +229,7 @@ def test_threaded_fill_equals_numpy_path_and_naive_stream(monkeypatch, cores, se
             lcg_fill(seed, ref)
         stream = naive_lcg_doubles(seed, sum(sizes))
         assert np.concatenate(got).tobytes() == np.concatenate(ref).tobytes() == stream.tobytes()
-    # three interiors: the cuts fall inside and between their planes
+    # three interiors: the cuts fall between their planes
     padded = [np.full((6, 7, 9), -1.0) for _ in range(3)]
     lcg_fill(seed, [p[1:-1, 1:-1, :] for p in padded])
     got = np.concatenate([p[1:-1, 1:-1, :].reshape(-1) for p in padded])
@@ -231,14 +237,16 @@ def test_threaded_fill_equals_numpy_path_and_naive_stream(monkeypatch, cores, se
 
 
 def test_split_cuts_the_stream_into_equal_contiguous_ranges():
+    # runs of whole rows, as many rows each as Slab.split gives X columns
     sizes = np.array([5, 9, 16, 1, 23, 3])
     table = np.stack([1000 + 8 * (np.cumsum(sizes) - sizes), sizes], axis=1).astype(np.int64)
-    for parts in (1, 2, 3, 4, 57):
+    for parts in range(1, len(sizes) + 1):
         pieces = grid._split(table, parts)
-        assert [lo for lo, _ in pieces] == [57 * p // parts for p in range(parts)]
-        # the pieces' segments, in turn, are the table's values, once each
-        cells = [a + 8 * n for _, piece in pieces for a, c in piece for n in range(c)]
-        assert cells == [a + 8 * n for a, c in table for n in range(c)]
+        rows = [len(piece) for _, piece in pieces]
+        assert rows == [slab.width for slab in Slab(0, len(sizes)).split(parts)]
+        assert [lo for lo, _ in pieces] == [sizes[: sum(rows[:p])].sum() for p in range(parts)]
+        # the pieces' rows, in turn, are the table's rows, once each
+        assert np.concatenate([piece for _, piece in pieces]).tolist() == table.tolist()
 
 
 def test_fill_threads_never_exceed_cores(monkeypatch):
@@ -253,17 +261,42 @@ def test_fill_threads_never_exceed_cores(monkeypatch):
     # the 8x8x8 goldens fill is far below a thread's share: no thread starts
     fill_fields(GridDims(8, 8, 8), GeneratorSpec.random(42))
     assert pools == []
-    monkeypatch.setattr(grid, "_LCG_THREAD_VALUES", 1)
+    monkeypatch.setattr(grid, "_THREAD_MIN", 1)
     fields = [fill_fields(GridDims(2, 2, 2), GeneratorSpec.random(1)).u for _ in range(3)]
     threaded = kernel.evaluator() == "compiled"  # the numpy path fills on the caller
     for cores in (1, 2, 3, 4, 8):
         monkeypatch.setattr(grid.os, "cpu_count", lambda: cores)
         pools.clear()
-        lcg_fill(3, [np.empty(2), np.empty(3)])
+        lcg_fill(3, [np.empty((10, 2, 3))[::2]])  # 5 rows: one plane each
         assert pools == ([min(cores, 5)] if threaded and cores > 1 else [])
+        pools.clear()
+        lcg_fill(3, [np.empty(2), np.empty(3)])  # 2 rows: at most 2 threads
+        assert pools == ([min(cores, 2)] if threaded and cores > 1 else [])
         pools.clear()
         checksums(fields)
         assert pools == ([min(cores, 3)] if cores > 1 else [])
+
+
+def _thread_names(path: Path) -> set[str]:
+    """Which of ThreadPoolExecutor and cpu_count the module at `path`
+    imports or refers to."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & {"ThreadPoolExecutor", "cpu_count"}
+
+
+def test_only_grid_sizes_and_starts_threads():
+    # one rule for parallel work: grid._parts and grid._on_threads
+    src = Path(grid.__file__).parent
+    used = {path.name: _thread_names(path) for path in sorted(src.glob("*.py"))}
+    assert used.pop("grid.py") == {"ThreadPoolExecutor", "cpu_count"}
+    assert {name: found for name, found in used.items() if found} == {}
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
@@ -321,6 +354,19 @@ def test_field_shape_validation():
         Field3D(dims, np.zeros((2, 2, 2)))
     with pytest.raises(GridError):
         Field3D(dims, np.zeros(dims.padded_shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("make", [FieldSet, SourceSet])
+@pytest.mark.parametrize("odd", [0, 1, 2])
+def test_field_and_source_sets_reject_mismatched_dims(make, odd):
+    fields = [zeros_field(GridDims(2, 2, 3 if n == odd else 2)) for n in range(3)]
+    with pytest.raises(GridError, match="must share one GridDims"):
+        make(*fields)
+
+
+def test_generator_spec_rejects_unknown_mode():
+    with pytest.raises(GridError, match="unknown generator mode 'bogus'"):
+        GeneratorSpec("bogus")
 
 
 @settings(max_examples=200, deadline=None)

@@ -199,6 +199,17 @@ def test_flop_profile_and_flops():
     assert total / 14.36e9 == pytest.approx(0.990, rel=1e-3)
 
 
+@pytest.mark.parametrize("tzc1, tzc2, message", [
+    (np.ones(4), np.ones(5), "equal length"),
+    (np.ones((2, 4)), np.ones((2, 4)), "1-D"),
+    (np.ones(4), np.array([1.0, np.nan, 1.0, 1.0]), "finite"),
+    (np.array([1.0, 1.0, 1.0, -np.inf]), np.ones(4), "finite"),
+])
+def test_coefficients_reject_bad_vertical_arrays(tzc1, tzc2, message):
+    with pytest.raises(ValueError, match=message):
+        AdvectionCoefficients(0.25, 0.25, tzc1, tzc2)
+
+
 def test_run_reference_rejects_mismatched_coefficients():
     dims = GridDims(3, 3, 4)
     fields = fill_fields(dims, GeneratorSpec.uniform(1, 1, 1))
@@ -612,13 +623,16 @@ def _bad_block(case):
         out = [np.zeros((*lead, nz)) for _ in range(3)]
     elif case == "not an array":
         roles[("u", 0, 0)] = [[[1.0] * nz] * 4] * 3
+    elif case == "two outputs":
+        out = out[:2]
     return coeffs, [] if case == "no phases" else [roles], tuple(out), lag
 
 
 @pytest.mark.parametrize("case", ["role shape", "role dtype", "role k-stride", "missing role",
                                   "coefficient nz", "read-only output", "output k-stride",
                                   "three leading axes", "one leading axis", "no leading axis",
-                                  "not an array", "negative lag", "non-int lag", "no phases"])
+                                  "not an array", "negative lag", "non-int lag", "no phases",
+                                  "two outputs"])
 def test_compute_block_rejects_bad_arrays(case):
     coeffs, phases, out, lag = _bad_block(case)
     with pytest.raises(ValueError):
@@ -668,13 +682,16 @@ def _staged_block(case=None):
         copies[0] = (rows[first], np.ones((n0 + 2, n1, nz + 1)), 0)
     elif case == "strided source plane":
         copies[0] = (rows[first], src[..., ::-1], 0)
+    elif case == "non-int dx":
+        copies[0] = (rows[first], src, 1.0)
     per_phase = [copies, copies] if case == "copies per phase" else [copies]
     return default_coefficients(nz), [roles], out, per_phase, unstaged
 
 
 @pytest.mark.parametrize("case", ["source past the end", "source before the start",
                                   "strided destination", "read-only destination",
-                                  "source size", "strided source plane", "copies per phase"])
+                                  "source size", "strided source plane", "copies per phase",
+                                  "non-int dx"])
 def test_staged_block_rejects_bad_copies(case):
     coeffs, phases, out, copies, _ = _staged_block(case)
     with pytest.raises(ValueError):

@@ -170,7 +170,7 @@ def test_engine_threads_capped_by_cores(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(schedules.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(grid.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingPool)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", 2, engines=16))
     assert sizes == [2]
@@ -192,7 +192,7 @@ def _record_pieces(monkeypatch, cores):
         runs.append((len(phases), copies, lag, out, threading.get_ident()))
         return run(coeffs, phases, out, copies, lag)
 
-    monkeypatch.setattr(schedules.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(grid.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(kernel, "compute_block", running)
     return pools, runs
@@ -210,7 +210,7 @@ def _piece_widths(out, runs):
 
 
 # nx = 25 columns of ny x 256 cells: a slab is cut into ceil(cores / engines)
-# pieces, at most one per _PIECE_CELLS cells. With ny = 128 (3.125 of them)
+# pieces, at most one per grid._THREAD_MIN cells. With ny = 128 (3.125 of them)
 # the cap cuts 2-engine slabs into one piece; with ny = 256 (6.25) it does not.
 PIECES = {
     128: {(1, 1): [25], (1, 2): [13, 12], (1, 3): [9, 8, 8],
@@ -225,7 +225,7 @@ PIECES = {
 @pytest.mark.parametrize("ny", sorted(PIECES))
 def test_reference_pieces_use_every_core(monkeypatch, ny):
     dims, fields, coeffs = case(nx=25, ny=ny, nz=256)
-    assert schedules._PIECE_CELLS == 1 << 18  # the cell cap PIECES is worked out for
+    assert grid._THREAD_MIN == 1 << 18  # the cell cap PIECES is worked out for
     ref = run_reference(fields, coeffs)
     one_core = {}
     for (cores, engines), widths in PIECES[ny].items():
@@ -371,6 +371,23 @@ def test_compare_outputs_identical_and_perturbed():
     assert not cmp.bitwise_equal
     assert cmp.max_ulp_diff == 1
     assert cmp.max_abs_diff == abs(a.sv.data[2, 2, 3] - b.sv.data[2, 2, 3])
+
+
+# values of opposite sign: their ULP distance passes through both zeros,
+# which the ordered image counts as one point
+OPPOSITE_SIGNS = [(5e-324, -5e-324, 2),
+                  (np.inf, -np.inf, 2 * 0x7FF0000000000000),
+                  (1.0, -1.0, 2 * 0x3FF0000000000000)]
+
+
+@pytest.mark.parametrize("x, y, ulps", OPPOSITE_SIGNS)
+def test_compare_outputs_counts_ulps_across_zero(x, y, ulps):
+    dims, fields, coeffs = case(nx=2, ny=2, nz=3)
+    a = run_reference(fields, coeffs)
+    b = run_reference(fields, coeffs)
+    a.sw.data[2, 1, 2], b.sw.data[2, 1, 2] = x, y
+    assert compare_outputs(a, b).max_ulp_diff == ulps
+    assert compare_outputs(b, a).max_ulp_diff == ulps
 
 
 def test_compare_outputs_signed_zero_and_dims_mismatch():
