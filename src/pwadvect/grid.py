@@ -173,17 +173,12 @@ _LCG_CHUNK = 1 << 16
 
 
 def _lcg_jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A[m], C[m] with state_{s+m+1} = A[m]*state_s + C[m] mod 2^64, m < n.
-
-    Built by doubling: once the first L entries are known, entry L+m is
-    entry m composed with entry L-1.
-    """
-    mult = np.array([_LCG_MULT], dtype=np.uint64)
-    inc = np.array([_LCG_INC], dtype=np.uint64)
-    while len(mult) < n:
-        mult, inc = (np.concatenate((mult, mult * mult[-1])),
-                     np.concatenate((inc, mult * inc[-1] + inc)))
-    return mult[:n], inc[:n]
+    """A[m], C[m] with state_{s+m+1} = A[m]*state_s + C[m] mod 2^64, m < n:
+    A[m] = MULT^(m+1) and C[m] = INC * (1 + MULT + ... + MULT^m), in uint64
+    arithmetic, which wraps mod 2^64."""
+    mult = np.cumprod(np.full(n, _LCG_MULT, dtype=np.uint64))
+    inc = np.cumsum(np.concatenate(([np.uint64(1)], mult[:-1]))) * np.uint64(_LCG_INC)
+    return mult, inc
 
 
 def _lcg_jump(n: int) -> tuple[int, int]:

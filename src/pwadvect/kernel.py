@@ -317,16 +317,14 @@ def kernel_source() -> str:
     """The C source of the compiled library: the kernel, generated from the
     formula tapes, and the generator of grid.lcg_fill.
 
-    `pwadvect_block` runs the X steps 0 <= i < `steps` of one compute_block
-    call. Step i makes the `ncopies` staging copies of phase i % phases,
-    then evaluates row a = i - lag, if a >= 0: columns (a, b), 0 <= b < n1,
-    with the descriptor of phase a % phases. `desc` holds per phase (base
-    address, stride 0, stride 1) per array, strides in bytes: the 17
-    COMPUTE_ROLES in order (r0..r16), then su, sv, sw (o0..o2); column
-    (a, b) of array n starts at COLUMN(n). `copies` holds per phase and copy (destination,
-    source base, source plane stride, dx, bytes); step i copies source
-    plane i + dx. compute_block builds both tables, so the C has no staging
-    rule of its own either.
+    `pwadvect_block` runs the loop nest of one compute_block call (see
+    there): per Y batch at row y, WIDTH(y) rows wide, the X steps 0 <= i <
+    `steps`. `desc` holds per phase (base address, stride 0, stride 1) per
+    array, strides in bytes: the 17 COMPUTE_ROLES in order (r0..r16), then
+    su, sv, sw (o0..o2). `copies` holds per phase and copy (destination,
+    address of source plane dx, source plane stride, row bytes, bytes).
+    compute_block builds both tables, so the C has no staging rule of its
+    own either.
 
     `pwadvect_lcg(state, narrays, arrays)` fills segments in turn with the
     doubles of grid.lcg_fill's stream from `state`, the masked seed jumped
@@ -335,9 +333,9 @@ def kernel_source() -> str:
     _LCG_LANES values at once from the state at its start, through grid's
     jump tables, and a scalar loop makes an array's last values.
     """
-    columns = [f"const double *r{n} = COLUMN({n});  /* {f} {dx:+d} {dy:+d} */"
+    columns = [f"const double *r{n} = COLUMN({n}, b);  /* {f} {dx:+d} {dy:+d} */"
                for n, (f, dx, dy) in enumerate(COMPUTE_ROLES)]
-    columns += [f"double *o{q} = COLUMN({len(COMPUTE_ROLES) + q});  /* {name} */"
+    columns += [f"double *o{q} = OUTPUT({len(COMPUTE_ROLES) + q});  /* {name} */"
                 for q, name in enumerate(("su", "sv", "sw"))]
     slots = f"double {', '.join(f's{n}' for n in range(1, _NSLOTS + 1))};"
     mid = _c_level(_MID_TAPES, "k", {-1: "k - 1", 0: "k", 1: "k + 1"})
@@ -352,33 +350,40 @@ def kernel_source() -> str:
         "#include <stdint.h>",
         "#include <string.h>",
         "",
+        "#define WIDTH(y) (rows - (y) < n1 ? rows - (y) : n1)",
         "#define COPIES(i) (copies + (i) % phases * 5 * ncopies)",
         "#define DEST(c) ((void *)(intptr_t)(c)[0])",
-        "#define SOURCE(c, i) ((const char *)(intptr_t)(c)[1] + ((i) + (c)[3]) * (c)[2])",
+        "#define SOURCE(c, i, y) ((const char *)(intptr_t)(c)[1] + (i) * (c)[2] + (y) * (c)[3])",
+        "#define BYTES(c, w) ((size_t)((c)[4] - (n1 - (w)) * (c)[3]))",
         f"#define ARRAYS(a) (desc + (a) % phases * 3 * {len(COMPUTE_ROLES) + 3})",
-        "#define COLUMN(n) ((double *)((char *)(intptr_t)arrays[3 * (n)]"
-        " + a * arrays[3 * (n) + 1] + b * arrays[3 * (n) + 2]))",
+        "#define COLUMN(n, j) ((double *)((char *)(intptr_t)arrays[3 * (n)]"
+        " + a * arrays[3 * (n) + 1] + (j) * arrays[3 * (n) + 2]))",
+        "#define OUTPUT(n) COLUMN(n, y + b)",
         "",
         *_CLONES,
-        "void pwadvect_block(int64_t steps, int64_t phases, int64_t lag, int64_t n1, int64_t nz,",
-        "                    double tcx, double tcy, const double *tzc1, const double *tzc2,",
-        "                    const int64_t *desc, int64_t ncopies, const int64_t *copies)",
+        "void pwadvect_block(int64_t steps, int64_t phases, int64_t lag, int64_t n1, int64_t rows,",
+        "                    int64_t nz, double tcx, double tcy, const double *tzc1,",
+        "                    const double *tzc2, const int64_t *desc, int64_t ncopies,",
+        "                    const int64_t *copies)",
         "{",
         "    const int64_t t = nz - 1;",
-        "    for (int64_t i = 0, a = -lag; i < steps; i++, a++) {",
-        "        const int64_t *c = COPIES(i);",
-        "        for (int64_t n = 0; n < ncopies; n++, c += 5)",
-        "            memcpy(DEST(c), SOURCE(c, i), (size_t)c[4]);",
-        "        if (a < 0)",
-        "            continue;",
-        "        const int64_t *arrays = ARRAYS(a);",
-        "        for (int64_t b = 0; b < n1; b++) {",
-        *indent(columns, 3),
-        "            #pragma omp simd",
-        "            for (int64_t k = 1; k < t; k++) {",
-        *indent([slots, *mid], 4),
+        "    for (int64_t y = 0; y < rows; y += n1) {",
+        "        const int64_t w = WIDTH(y);",
+        "        for (int64_t i = 0, a = -lag; i < steps; i++, a++) {",
+        "            const int64_t *c = COPIES(i);",
+        "            for (int64_t n = 0; n < ncopies; n++, c += 5)",
+        "                memcpy(DEST(c), SOURCE(c, i, y), BYTES(c, w));",
+        "            if (a < 0)",
+        "                continue;",
+        "            const int64_t *arrays = ARRAYS(a);",
+        "            for (int64_t b = 0; b < w; b++) {",
+        *indent(columns, 4),
+        "                #pragma omp simd",
+        "                for (int64_t k = 1; k < t; k++) {",
+        *indent([slots, *mid], 5),
+        "                }",
+        *indent([slots, *top], 4),
         "            }",
-        *indent([slots, *top], 3),
         "        }",
         "    }",
         "}",
@@ -429,7 +434,7 @@ def _build():
 def _declare(lib):
     """`lib` with the argument and result types of pwadvect_block and
     pwadvect_lcg declared."""
-    lib.pwadvect_block.argtypes = (*[ctypes.c_int64] * 5, ctypes.c_double, ctypes.c_double,
+    lib.pwadvect_block.argtypes = (*[ctypes.c_int64] * 6, ctypes.c_double, ctypes.c_double,
                                    *[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p)
     lib.pwadvect_block.restype = None
     lib.pwadvect_lcg.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
@@ -462,34 +467,39 @@ def _checked_arrays(coeffs: AdvectionCoefficients, roles: dict, out) -> list:
         raise ValueError(f"out must hold su, sv, sw; got {len(out)} arrays")
     arrays += out
     shape = getattr(arrays[0], "shape", ())
-    if len(shape) != 3:
-        raise ValueError(f"role arrays must be shaped (n0, n1, nz), got shape {shape}")
+    if len(shape) != 3 or shape[1] < 1:
+        raise ValueError(f"role arrays must be shaped (n0, n1 >= 1, nz), got shape {shape}")
     if shape[-1] != coeffs.nz or coeffs.nz < 2:
         raise ValueError(f"role arrays have nz = {shape[-1]}, coefficients {coeffs.nz} "
                          "(need equal, >= 2)")
+    # the outputs hold the rows of every Y batch: (n0, rows, nz)
+    out_shape = (shape[0], *np.shape(out[0])[1:2], shape[2])
     for name, arr in zip((*COMPUTE_ROLES, "su", "sv", "sw"), arrays):
         output = isinstance(name, str)
+        want = out_shape if output else shape
         if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.shape == shape and arr.strides[-1] == 8 and arr.flags.aligned
+                and arr.shape == want and arr.strides[-1] == 8 and arr.flags.aligned
                 and (arr.flags.writeable or not output)):
             raise ValueError(f"{name}: need an aligned{' writeable' if output else ''} "
-                             f"float64 array of shape {shape} with unit k-stride")
+                             f"float64 array of shape {want} with unit k-stride")
     return arrays
 
 
-def _checked_copies(copies, phases: int, steps: int) -> tuple:
+def _checked_copies(copies, phases: int, steps: int, n1: int, rows: int) -> tuple:
     """Per phase, its staging copies (dest, source, dx), once checked."""
     copies = tuple(tuple(phase) for phase in copies) or ((),) * phases
     if len(copies) != phases or len({len(phase) for phase in copies}) != 1:
         raise ValueError(f"copies: need one list per phase ({phases}), all of one length")
     for dst, src, dx in (copy for phase in copies for copy in phase):
-        if not (isinstance(dst, np.ndarray) and dst.dtype == np.float64
-                and dst.flags.c_contiguous and dst.flags.writeable):
-            raise ValueError("copy destination: need a writeable C-contiguous float64 array")
+        if not (isinstance(dst, np.ndarray) and dst.dtype == np.float64 and dst.ndim
+                and dst.flags.c_contiguous and dst.flags.writeable and len(dst) >= n1):
+            raise ValueError(f"copy destination: need {n1}+ rows, writeable C-contiguous float64")
+        # the last Y batch reads furthest: source rows up to len(dst) + rows - n1
         if not (isinstance(src, np.ndarray) and src.dtype == np.float64
-                and src.ndim == dst.ndim + 1 and src.shape[1:] == dst.shape):
-            raise ValueError(f"copy source: need float64 planes of shape {dst.shape}, "
-                             f"got shape {getattr(src, 'shape', None)}")
+                and src.ndim == dst.ndim + 1 and src.shape[2:] == dst.shape[1:]
+                and src.shape[1] >= len(dst) + rows - n1):
+            raise ValueError(f"copy source: need float64 planes of {len(dst) + rows - n1}+ rows "
+                             f"of shape {dst.shape[1:]}, got {getattr(src, 'shape', None)}")
         if not isinstance(dx, int):
             raise ValueError(f"copy dx must be an int, got {dx!r}")
         # steps 0 .. steps - 1 read source planes dx .. dx + steps - 1
@@ -509,28 +519,31 @@ BLOCK_CELLS = 1 << 16
 
 
 def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: int = 0) -> None:
-    """Check and address a block's arrays and staging copies, then run all
-    its X steps: one compiled kernel call, or the numpy replay.
+    """Check and address a block's arrays and staging copies, then run its
+    whole loop nest: one compiled kernel call, or the numpy replay.
 
-    `phases` is a sequence of P >= 1 role dicts. Each maps every key in
-    COMPUTE_ROLES to a float64 array shaped (n0, n1, nz) with unit stride
-    along k; any leading stride, 0 included, is allowed. `out` is
-    (su, sv, sw), writeable arrays of that shape; levels k >= 2 are written
-    and level k = 1 is left as it is. `copies` is empty or holds one list
-    of (dest, source, dx) per phase, all of one length: dest a writeable
-    C-contiguous float64 array, source a float64 array of planes of dest's
-    shape along its first axis, each plane C-contiguous. The call runs
-    n0 + lag X steps: step i makes the copies of phase i % P, each from
-    source plane i + dx, then evaluates row i - lag, if that is >= 0, with
-    the roles of phase (i - lag) % P. The reference run is one phase, no
-    copies and lag 0, so step i is row i.
+    `phases` is a sequence of P >= 1 role dicts of one shape. Each maps
+    every key in COMPUTE_ROLES to a float64 array shaped (n0, n1 >= 1, nz)
+    with unit stride along k; any leading stride, 0 included, is allowed.
+    `out` is (su, sv, sw), writeable arrays shaped (n0, R, nz); levels
+    k >= 2 are written and level k = 1 is left as it is. `copies` is empty
+    or holds one list of (dest, source, dx) per phase, all of one length:
+    dest a writeable C-contiguous float64 array of n1 or more rows, source
+    a float64 array of C-contiguous planes of len(dest) + R - n1 or more
+    such rows. The call runs ceil(R / n1) Y batches, the last w = R -
+    (batches - 1) * n1 rows wide, the others n1. In the batch at row y, X
+    step i < n0 + lag fills the first len(dest) - (n1 - w) rows of each
+    dest of phase i % P from source plane i + dx, row y on, then evaluates
+    row i - lag, if that is >= 0: columns b < w of the roles of phase
+    (i - lag) % P into output rows y + b. The reference run is one phase,
+    no copies, lag 0 and R = n1: one batch, whose step i is row i.
 
-    A bad role, output, copy or lag, no phases, a source plane outside its
-    array on any step, or coefficients of another length than nz raise
-    ValueError before anything is written. No output may overlap a role, a
-    copy or another output, and no copy's destination its source: the
-    compiled kernel runs the k loop in SIMD lanes and copies with memcpy on
-    that promise, and it is not checked (every caller writes into a
+    A bad role, output, copy or lag, no phases, a source plane or row
+    outside its array on any step, or coefficients of another length than
+    nz raise ValueError before anything is written. No output may overlap
+    a role, a copy or another output, and no copy's destination its source:
+    the compiled kernel runs the k loop in SIMD lanes and copies with memcpy
+    on that promise, and it is not checked (every caller writes into a
     SourceSet and staging buffers of its own). The compiled kernel reads and
     copies the arrays in place; the numpy replay (no compiler) evaluates
     blocks of at most BLOCK_CELLS cells into scratch slots of the call, one
@@ -538,24 +551,25 @@ def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: in
     """
     # per phase, the 17 roles, then su, sv, sw
     phases = [_checked_arrays(coeffs, roles, out) for roles in phases]
-    if not phases:
-        raise ValueError("need at least one phase of roles")
+    if len({arrays[0].shape for arrays in phases}) != 1:
+        raise ValueError("need at least one phase of roles, every phase of one shape")
     if not (isinstance(lag, int) and lag >= 0):
         raise ValueError(f"lag must be an int >= 0, got {lag!r}")
-    n0, n1, nz = phases[0][0].shape
+    (n0, n1, nz), rows = phases[0][0].shape, out[0].shape[1]
     steps = n0 + lag
-    copies = _checked_copies(copies, len(phases), steps)
+    copies = _checked_copies(copies, len(phases), steps, n1, rows)
     lib = _compiled()
     if lib is not None:
         # the locals hold the buffers behind the addresses for the call
         desc = np.array([[(arr.ctypes.data, *arr.strides[:2]) for arr in arrays]
                          for arrays in phases], dtype=np.int64)
         ncopies = len(copies[0])
-        table = np.array([(dst.ctypes.data, src.ctypes.data, src.strides[0], dx, dst.nbytes)
+        table = np.array([(dst.ctypes.data, src.ctypes.data + dx * src.strides[0], src.strides[0],
+                           dst.nbytes // len(dst), dst.nbytes)
                           for phase in copies for dst, src, dx in phase],
                          dtype=np.int64).reshape(len(phases), ncopies, 5)
         tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
-        lib.pwadvect_block(steps, len(phases), lag, n1, nz, coeffs.tcx, coeffs.tcy,
+        lib.pwadvect_block(steps, len(phases), lag, n1, rows, nz, coeffs.tcx, coeffs.tcy,
                            tzc1.ctypes.data, tzc2.ctypes.data, desc.ctypes.data,
                            ncopies, table.ctypes.data)
         return
@@ -564,16 +578,21 @@ def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: in
     scratch = {}
     staged = len(phases) > 1 or copies[0]
     planes = 1 if staged else max(1, BLOCK_CELLS // (n1 * nz))
-    rows = min(n1, max(1, BLOCK_CELLS // nz))
-    for i in range(0, steps, planes):
-        for dst, src, dx in copies[i % len(phases)]:
-            np.copyto(dst, src[i + dx])
-        a0, a1 = max(i - lag, 0), min(i + planes, steps) - lag
-        if a0 >= a1:
-            continue
-        for j0 in range(0, n1, rows):
-            views = [arr[a0:a1, j0 : j0 + rows] for arr in phases[a0 % len(phases)]]
-            _replay_block(coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:], scratch)
+    block_rows = min(n1, max(1, BLOCK_CELLS // nz))
+    for y in range(0, rows, n1):
+        w = min(n1, rows - y)
+        # per phase, the batch's w columns of every role, then its output rows
+        batch = [[a[:, :w] for a in arrays[:-3]] + [a[:, y : y + w] for a in arrays[-3:]]
+                 for arrays in phases]
+        for i in range(0, steps, planes):
+            for dst, src, dx in copies[i % len(phases)]:
+                np.copyto(dst[: len(dst) - n1 + w], src[i + dx, y : y + len(dst) - n1 + w])
+            a0, a1 = max(i - lag, 0), min(i + planes, steps) - lag
+            if a0 >= a1:
+                continue
+            for j0 in range(0, w, block_rows):
+                views = [arr[a0:a1, j0 : j0 + block_rows] for arr in batch[a0 % len(phases)]]
+                _replay_block(coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:], scratch)
 
 
 def _replay_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:
@@ -613,18 +632,12 @@ def grid_roles(fields: FieldSet, x0: int, x1: int) -> dict:
     }
 
 
-def run_slab(fields: FieldSet, coeffs: AdvectionCoefficients, out: SourceSet,
-             x0: int, x1: int) -> None:
-    """Evaluate interior columns i in [x0, x1) into `out`, in one compute_block call."""
-    ny = fields.dims.ny
-    compute_block(coeffs, [grid_roles(fields, x0, x1)],
-                  tuple(f.data[x0:x1, 1 : ny + 1] for f in (out.su, out.sv, out.sw)))
-
-
 def run_reference(fields: FieldSet, coeffs: AdvectionCoefficients) -> SourceSet:
-    """Reference execution over the whole grid; pure function of its inputs."""
+    """Reference execution over the whole grid, in one compute_block call;
+    pure function of its inputs."""
     out = zeros_sources(fields.dims)
-    run_slab(fields, coeffs, out, 1, fields.dims.nx + 1)
+    compute_block(coeffs, [grid_roles(fields, 1, fields.dims.nx + 1)],
+                  tuple(f.data[1:-1, 1:-1] for f in (out.su, out.sv, out.sw)))
     return out
 
 

@@ -19,8 +19,8 @@ from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
     compute_block,
+    grid_roles,
     reads_per_point,
-    run_slab,
 )
 
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
@@ -83,31 +83,30 @@ class TrafficReport:
         self.scratch_bytes_peak = max(self.scratch_bytes_peak, other.scratch_bytes_peak)
 
 
-# A staging rule lays out the scratch buffers of one Y batch of a slab. Its
-# sources hold the slab's X planes and one halo plane on each side, so
-# source plane p is X plane x_begin - 1 + p and output row a is source plane
-# a + 1. It returns, per staging phase, the copies that an X step makes, as
-# (destination, source rows of every source plane, dx), and the role rows
-# that the phase's rows read; and the lag, in X steps, from step to row.
-# X step i makes the copies of phase i % phases, each from source plane
-# i + dx, then computes row i - lag with the roles of phase (i - lag) % phases.
+# A staging rule lays out the scratch buffers of a slab's Y batches of `bw`
+# rows. Its sources hold the slab's X planes, full height, and one halo
+# plane on each side, so source plane p is X plane x_begin - 1 + p and
+# output row a is source plane a + 1. It returns, per staging phase, the
+# copies that an X step makes, as (destination, source, dx), and the role
+# rows that the phase's rows read; and the lag, in X steps, from step to
+# row. The slab's one compute_block call runs every batch, and in the batch
+# at row y each copy starts at source row y (see compute_block's loop nest).
 
 
-def _role_rows(arrs, j0, bw, nz):
+def _role_rows(arrs, bw, nz):
     """column_buffered, y_batched: the 17 role rows of a plane, staged fresh."""
     rows = {role: np.empty((bw, nz)) for role in COMPUTE_ROLES}
     # step i computes row i, which reads source plane i + 1 + dx
-    copies = [(rows[(f, dx, dy)], arrs[f][:, j0 + dy : j0 + dy + bw], dx + 1)
-              for f, dx, dy in COMPUTE_ROLES]
+    copies = [(rows[(f, dx, dy)], arrs[f][:, 1 + dy :], dx + 1) for f, dx, dy in COMPUTE_ROLES]
     return [copies], [rows], 0
 
 
-def _plane_ring(arrs, j0, bw, nz):
+def _plane_ring(arrs, bw, nz):
     """x_reordered: one new plane per field into a 3-slot ring, computed two steps later."""
-    # slot i % 3 of a field's ring holds rows j0-1 .. j0+bw of source plane i
+    # slot i % 3 of a field's ring holds the batch's rows y .. y+bw+1 of
+    # source plane i, the batch and a halo row on each side
     rings = {f: np.empty((3, bw + 2, nz)) for f in arrs}
-    copies = [[(ring[p], arrs[f][:, j0 - 1 : j0 + bw + 1], 0) for f, ring in rings.items()]
-              for p in range(3)]
+    copies = [[(ring[p], arrs[f], 0) for f, ring in rings.items()] for p in range(3)]
     # row a, run by phase a % 3 at step a + 2, finds source plane a + 1 + dx
     # in slot (a + 1 + dx) % 3
     roles = [{(f, dx, dy): rings[f][(r + 1 + dx) % 3, 1 + dy : 1 + dy + bw]
@@ -115,41 +114,33 @@ def _plane_ring(arrs, j0, bw, nz):
     return copies, roles, 2
 
 
-def _run_staged_slab(fields, coeffs, out, slab, tc, stage, batch):
-    """Per Y batch, one compute_block call over every staging phase and all its X steps."""
-    nz, ny = fields.dims.nz, fields.dims.ny
-    arrs = {f: getattr(fields, f).data[slab.x_begin - 1 : slab.x_end + 1] for f in "uvw"}
-    for j0 in range(1, ny + 1, batch):
-        bw = min(batch, ny + 1 - j0)
-        copies, phases, lag = stage(arrs, j0, bw, nz)
-        # the call writes the slab's rows and reads its roles' staged rows
-        # repeated along X (stride 0)
-        outs = [f.data[slab.x_begin : slab.x_end, j0 : j0 + bw] for f in (out.su, out.sv, out.sw)]
-        compute_block(coeffs, [{role: np.broadcast_to(rows, (slab.width, bw, nz))
-                                for role, rows in roles.items()} for roles in phases],
-                      outs, copies, lag)
-        staged = (slab.width + lag) * sum(dst.size for dst, _, _ in copies[0])
-        tc.external_reads += staged
-        tc.local_writes += staged
-        tc.scratch_bytes_peak = max(tc.scratch_bytes_peak,
-                                    sum(dst.nbytes for phase in copies for dst, _, _ in phase))
-
-
 def _run_slab(fields, coeffs, out, slab, spec) -> TrafficReport:
-    dims = fields.dims
-    columns = slab.width * dims.ny
+    nz, ny = fields.dims.nz, fields.dims.ny
+    columns = slab.width * ny
     # every schedule computes each column once: 54 operand touches per mid
     # level and 45 at the top, and 3 outputs stored at levels k >= 2 only
-    touches = columns * (reads_per_point(False) * (dims.nz - 2) + reads_per_point(True))
-    tc = TrafficReport(external_writes=3 * columns * (dims.nz - 1))
+    touches = columns * (reads_per_point(False) * (nz - 2) + reads_per_point(True))
+    tc = TrafficReport(external_writes=3 * columns * (nz - 1))
+    outs = tuple(f.data[slab.x_begin : slab.x_end, 1 : ny + 1] for f in (out.su, out.sv, out.sw))
     if spec.variant == "reference":
-        run_slab(fields, coeffs, out, slab.x_begin, slab.x_end)
+        compute_block(coeffs, [grid_roles(fields, slab.x_begin, slab.x_end)], outs)
         tc.external_reads = touches
-    else:
-        _run_staged_slab(fields, coeffs, out, slab, tc,
-                         _plane_ring if spec.variant == "x_reordered" else _role_rows,
-                         1 if spec.variant == "column_buffered" else spec.y_batch)
-        tc.local_reads = touches
+        return tc
+    batch = 1 if spec.variant == "column_buffered" else spec.y_batch
+    arrs = {f: getattr(fields, f).data[slab.x_begin - 1 : slab.x_end + 1] for f in "uvw"}
+    stage = _plane_ring if spec.variant == "x_reordered" else _role_rows
+    copies, phases, lag = stage(arrs, batch, nz)
+    # the call reads each role's staged rows repeated along X (stride 0)
+    compute_block(coeffs, [{role: np.broadcast_to(rows, (slab.width, batch, nz))
+                            for role, rows in roles.items()} for roles in phases],
+                  outs, copies, lag)
+    # each of the nb batches fills every buffer, the last all but its
+    # nb * batch - ny missing rows
+    nb = -(-ny // batch)
+    tc.external_reads = tc.local_writes = (slab.width + lag) * sum(
+        nb * dst.size - (nb * batch - ny) * nz for dst, _, _ in copies[0])
+    tc.local_reads = touches
+    tc.scratch_bytes_peak = sum(dst.nbytes for phase in copies for dst, _, _ in phase)
     return tc
 
 

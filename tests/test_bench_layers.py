@@ -1,5 +1,5 @@
 """Layer microbenchmarks: random field generation, kernel blocks (compiled
-and numpy replay), one staged Y batch, the blocked reference run, whole
+and numpy replay), one staged slab, the blocked reference run, whole
 staged-schedule runs, checksum.
 
 pyproject.toml sets --benchmark-disable, so in the normal suite each runs
@@ -44,7 +44,7 @@ def test_bench_compute_block_one_block(benchmark, case):
         assert planes * dims.ny * dims.nz == kernel.BLOCK_CELLS
     roles = grid_roles(fields, 1, 1 + planes)
     out = tuple(np.zeros((planes, dims.ny, dims.nz)) for _ in range(3))
-    # checked, addressed and run in one call, as run_slab does
+    # checked, addressed and run in one call, as run_reference does
     benchmark(compute_block, coeffs, [roles], out)
     assert all(a[..., 1:].any() and not a[..., 0].any() for a in out)
 
@@ -60,9 +60,9 @@ class TestNumpyReplay:
 
 
 def test_bench_compute_block_x_reordered_block(monkeypatch, benchmark, case):
-    # one whole staged Y batch of the 1-engine x_reordered schedule,
-    # y_batch = 64: the call of the first batch, over its three ring phases
-    # and all nx + 2 X steps, each three plane copies and then one row
+    # the one call of the 1-engine x_reordered schedule, y_batch = 64: its
+    # two Y batches, each over the three ring phases and all nx + 2 X steps,
+    # each step three plane copies and then one row
     dims, fields, coeffs = case
     runs = []
 
@@ -84,8 +84,8 @@ def test_bench_compute_block_x_reordered_block(monkeypatch, benchmark, case):
 
 @pytest.mark.parametrize("variant", ["column_buffered", "y_batched"])
 def test_bench_run_schedule_staged(benchmark, case, variant):
-    # one whole 1-engine run, y_batch = 64: one compute_block call per Y row
-    # (column_buffered) or Y batch, and 17 role rows staged per X step
+    # one whole 1-engine run, y_batch = 64: one compute_block call over
+    # every Y row (column_buffered) or Y batch, 17 role rows staged per X step
     dims, fields, coeffs = case
     out, _, _ = benchmark(run_schedule, fields, coeffs, ScheduleSpec(variant, 64))
     assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal

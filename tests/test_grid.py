@@ -206,6 +206,16 @@ def test_lcg_jump_equals_naive_stepping():
             assert (a * seed + c) & grid._LCG_MASK == stepped[n]
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 65537])
+def test_lcg_jump_tables_equal_jumps(n):
+    # entry m jumps m + 1 steps; 8 is the compiled generator's lane count,
+    # 65,537 one past the numpy path's chunk
+    mult, inc = grid._lcg_jump_tables(n)
+    assert mult.dtype == inc.dtype == np.uint64 and len(mult) == len(inc) == n
+    assert [(int(a), int(c)) for a, c in zip(mult, inc)] == [grid._lcg_jump(m + 1)
+                                                             for m in range(n)]
+
+
 # Array sizes of one stream; each array is one row, so with 1-4 threads the
 # runs of whole rows start on and off the generator's 8-lane steps, at
 # uneven value counts and next to empty arrays (e.g. (5, 0, 9, 0, 16, 1, 23, 3)

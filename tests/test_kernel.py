@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pwadvect import kernel
+from pwadvect import kernel, schedules
 from pwadvect.grid import (
     GeneratorSpec,
     GridDims,
@@ -242,7 +242,9 @@ def _block_shapes(monkeypatch, block_cells):
         blocks.append(roles[("u", 0, 0)].shape[:2])
         return replay(coeffs, roles, out, scratch)
 
+    # run_reference calls it in kernel, the reference schedule in schedules
     monkeypatch.setattr(kernel, "compute_block", running)
+    monkeypatch.setattr(schedules, "compute_block", running)
     monkeypatch.setattr(kernel, "_replay_block", replaying)
     return calls, blocks
 
@@ -480,7 +482,7 @@ def test_declared_argtypes_match_the_source():
         want = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]] for p in params]
         fn = getattr(lib, name)
         assert list(fn.argtypes) == want and fn.restype is None, name
-    assert len(lib.pwadvect_block.argtypes) == 12 and len(lib.pwadvect_lcg.argtypes) == 3
+    assert len(lib.pwadvect_block.argtypes) == 13 and len(lib.pwadvect_lcg.argtypes) == 3
 
 
 def _compile(source: str, flags, path: Path) -> subprocess.CompletedProcess:
@@ -657,18 +659,20 @@ def test_compute_block_takes_strided_coefficients():
 UNWRITTEN = -1.25e-300
 
 
-def _staged_block(case=None):
-    """A 3x4 block (nz = 5) whose 17 roles are rows staged per X step from a
-    source of 5 planes, one phase and lag 0: step i copies plane i + 1 + dx
-    into the role's rows. Returns (coeffs, phases, out, copies, unstaged
-    roles), with one defect if `case` names one."""
+def _staged_block(case=None, batches=1.0):
+    """A block of 3 X rows (nz = 5) whose 17 roles are Y batches of 4 rows
+    staged per X step from a source of 5 planes, `batches` * 4 rows long,
+    one phase and lag 0: step i copies plane i + 1 + dx into the role's
+    rows. Returns (coeffs, phases, out, copies, unstaged roles), with one
+    defect if `case` names one."""
     nz, n0, n1 = 5, 3, 4
-    src = np.random.default_rng(3).random((n0 + 2, n1, nz))
+    height = int(batches * n1)  # the outputs' rows; the source needs as many
+    src = np.random.default_rng(3).random((n0 + 2, height, nz))
     rows = {role: np.full((n1, nz), UNWRITTEN) for role in COMPUTE_ROLES}
     copies = [(rows[role], src, role[1] + 1) for role in COMPUTE_ROLES]
     roles = {role: np.broadcast_to(r, (n0, n1, nz)) for role, r in rows.items()}
     unstaged = {role: src[role[1] + 1 : role[1] + 1 + n0] for role in COMPUTE_ROLES}
-    out = tuple(np.zeros((n0, n1, nz)) for _ in range(3))
+    out = tuple(np.zeros((n0, height, nz)) for _ in range(3))
     first = COMPUTE_ROLES[0]  # ("u", -1, 0): reads planes 0 .. 2
     if case == "source past the end":
         copies[0] = (rows[first], src, 3)  # the last step would read plane 5
@@ -684,6 +688,10 @@ def _staged_block(case=None):
         copies[0] = (rows[first], src[..., ::-1], 0)
     elif case == "non-int dx":
         copies[0] = (rows[first], src, 1.0)
+    elif case == "source short of the last batch":
+        copies[0] = (rows[first], src[:, :-1], 0)
+    elif case == "destination short of a batch":
+        copies[0] = (np.full((n1 - 1, nz), UNWRITTEN), src, 0)
     per_phase = [copies, copies] if case == "copies per phase" else [copies]
     return default_coefficients(nz), [roles], out, per_phase, unstaged
 
@@ -691,9 +699,11 @@ def _staged_block(case=None):
 @pytest.mark.parametrize("case", ["source past the end", "source before the start",
                                   "strided destination", "read-only destination",
                                   "source size", "strided source plane", "copies per phase",
-                                  "non-int dx"])
+                                  "non-int dx", "source short of the last batch",
+                                  "destination short of a batch"])
 def test_staged_block_rejects_bad_copies(case):
-    coeffs, phases, out, copies, _ = _staged_block(case)
+    # Y batches of 4, 4 and 2 rows: the last batch reads the source furthest
+    coeffs, phases, out, copies, _ = _staged_block(case, batches=2.5)
     with pytest.raises(ValueError):
         compute_block(coeffs, phases, out, copies)
     assert not any(o.any() for o in out)
@@ -708,6 +718,20 @@ def test_staged_block_equals_unstaged_roles():
     compute_block(coeffs, phases, out, copies)
     assert all(w[..., 1:].any() for w in want)
     assert all(np.array_equal(a, b) for a, b in zip(out, want))
+
+
+def test_staged_batches_equal_unstaged_roles():
+    # one call runs Y batches of 4, 4 and 2 rows, the last copying only the
+    # first 2 rows of each destination; it equals one unstaged batch of 10
+    coeffs, phases, out, copies, unstaged = _staged_block(batches=2.5)
+    want = tuple(np.zeros_like(o) for o in out)
+    compute_block(coeffs, [unstaged], want)
+    compute_block(coeffs, phases, out, copies)
+    assert all(w[..., 1:].all() for w in want)
+    assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(out, want))
+    # the last batch copied 2 rows, so each destination keeps the last 2 rows
+    # of the middle batch's last X step: source plane 2 + dx, rows 6 and 7
+    assert all((dst[2:] == src[2 + dx, 6:8]).all() for dst, src, dx in copies[0])
 
 
 def test_model_path_builds_no_kernel():
@@ -744,3 +768,5 @@ class TestNumpyReplay:
     test_staged_block_rejects_bad_copies = staticmethod(test_staged_block_rejects_bad_copies)
     test_staged_block_equals_unstaged_roles = staticmethod(
         test_staged_block_equals_unstaged_roles)
+    test_staged_batches_equal_unstaged_roles = staticmethod(
+        test_staged_batches_equal_unstaged_roles)

@@ -86,10 +86,10 @@ def test_engine_count_independence():
                                             ("x_reordered", {4, 3})])
 def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
     # only the numpy replay evaluates into scratch slots
-    # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab; a
-    # call makes one scratch per shape it replays, shared by its staging
-    # phases, and every X step evaluates one row of its batch, so each
-    # call makes one
+    # ny = 11, y_batch = 4: Y batches of 4, 4 and 3 rows in every slab, all
+    # run by the slab's one call; a call makes one scratch per shape it
+    # replays, shared by its staging phases and batches, and every X step
+    # evaluates one row of its batch, so each call makes one per batch width
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
     ref = run_reference(fields, coeffs)
     real_scratch, real_run = kernel.new_scratch, kernel.compute_block
@@ -107,10 +107,11 @@ def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
     monkeypatch.setattr(kernel, "new_scratch", counting)
     monkeypatch.setattr(schedules, "compute_block", running)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, 4, engines=3))
-    assert len(runs) == 3 * (dims.ny if variant == "column_buffered" else 3)
+    assert len(runs) == 3
     assert {phases for phases, _, _ in runs} == {3 if variant == "x_reordered" else 1}
-    assert all(shapes == [(1, n1, dims.nz)] for _, n1, shapes in runs)
-    assert {n1 for _, n1, _ in runs} == widths
+    assert all(rows == dims.ny for _, rows, _ in runs)
+    assert all(shapes == [(1, w, dims.nz) for w in sorted(widths, reverse=True)]
+               for _, _, shapes in runs)
     assert compare_outputs(out, ref).bitwise_equal
 
 
@@ -131,7 +132,7 @@ def test_run_schedule_rejects_mismatched_coefficients(variant, engines):
 def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phases, lag,
                                                evaluator):
     # 6 x 11 over 3 engines: slabs of 2 columns; Y batches of 4, 4 and 3
-    # rows, or 11 batches of one row for column_buffered
+    # rows, or 11 batches of one row for column_buffered, all in one call
     if evaluator == "numpy":
         monkeypatch.setattr(kernel, "_lib", None)
     dims, fields, coeffs = case(nx=6, ny=11, nz=5)
@@ -151,13 +152,15 @@ def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phas
     monkeypatch.setattr(kernel, "_checked_arrays", checking)
     out, _, _ = run_schedule(fields, coeffs, ScheduleSpec(variant, batch, engines=3))
     assert compare_outputs(out, ref) == OutputComparison(True, 0.0, 0)
-    # per (engine, Y batch), keyed by the su rows it writes: one call over
-    # every staging phase, each phase checked once, running all its X steps,
-    # the slab's 2 columns plus the lag
-    n_batches = 3 * -(-dims.ny // batch)
-    assert len({outs[0].ctypes.data for _, _, outs, _, _ in runs}) == n_batches
-    assert len(runs) == n_batches and len(checks) == n_batches * phases
-    assert all(len(roles) == len(copies) == phases and got == lag and len(outs[0]) == 2
+    # per engine, keyed by the su rows it writes: one call over every
+    # staging phase, each phase checked once, running all its Y batches
+    # and in each all its X steps, the slab's 2 columns plus the lag; its
+    # roles hold one batch and its outputs all ny rows
+    assert len({outs[0].ctypes.data for _, _, outs, _, _ in runs}) == 3
+    assert len(runs) == 3 and len(checks) == 3 * phases
+    assert all(len(roles) == len(copies) == phases and got == lag
+               and outs[0].shape == (2, dims.ny, dims.nz)
+               and all(r[("u", 0, 0)].shape == (2, batch, dims.nz) for r in roles)
                for _, roles, outs, copies, got in runs)
 
 
@@ -181,7 +184,7 @@ def _record_pieces(monkeypatch, cores):
     """Patch the core count to `cores`; record the reference run's pools and
     kernel calls, as (phases, copies, lag, out, thread)."""
     pools, runs = [], []
-    run = kernel.compute_block
+    run = schedules.compute_block
 
     class RecordingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -194,7 +197,7 @@ def _record_pieces(monkeypatch, cores):
 
     monkeypatch.setattr(grid.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(kernel, "compute_block", running)
+    monkeypatch.setattr(schedules, "compute_block", running)
     return pools, runs
 
 
