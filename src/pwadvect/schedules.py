@@ -138,7 +138,7 @@ def _run_slab(fields, coeffs, out, slab, spec) -> TrafficReport:
     # nb * batch - ny missing rows
     nb = -(-ny // batch)
     tc.external_reads = tc.local_writes = (slab.width + lag) * sum(
-        nb * dst.size - (nb * batch - ny) * nz for dst, _, _ in copies[0])
+        nb * dst.size - (nb * batch - ny) * dst[0].size for dst, _, _ in copies[0])
     tc.local_reads = touches
     tc.scratch_bytes_peak = sum(dst.nbytes for phase in copies for dst, _, _ in phase)
     return tc

@@ -627,6 +627,8 @@ def _bad_block(case):
         roles[("u", 0, 0)] = [[[1.0] * nz] * 4] * 3
     elif case == "two outputs":
         out = out[:2]
+    elif case == "zero-row roles":  # a batch of no rows would never advance
+        roles = {role: np.ones((3, 4, nz))[:, :0] for role in COMPUTE_ROLES}
     return coeffs, [] if case == "no phases" else [roles], tuple(out), lag
 
 
@@ -634,7 +636,7 @@ def _bad_block(case):
                                   "coefficient nz", "read-only output", "output k-stride",
                                   "three leading axes", "one leading axis", "no leading axis",
                                   "not an array", "negative lag", "non-int lag", "no phases",
-                                  "two outputs"])
+                                  "two outputs", "zero-row roles"])
 def test_compute_block_rejects_bad_arrays(case):
     coeffs, phases, out, lag = _bad_block(case)
     with pytest.raises(ValueError):
@@ -683,7 +685,7 @@ def _staged_block(case=None, batches=1.0):
     elif case == "read-only destination":
         copies[0] = (np.broadcast_to(np.full(nz, UNWRITTEN), (n1, nz)), src, 0)
     elif case == "source size":
-        copies[0] = (rows[first], np.ones((n0 + 2, n1, nz + 1)), 0)
+        copies[0] = (rows[first], np.ones((n0 + 2, height, nz + 1)), 0)
     elif case == "strided source plane":
         copies[0] = (rows[first], src[..., ::-1], 0)
     elif case == "non-int dx":
