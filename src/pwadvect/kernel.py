@@ -319,12 +319,12 @@ def kernel_source() -> str:
 
     `pwadvect_block` runs the loop nest of one compute_block call (see
     there): per Y batch at row y, WIDTH(y) rows wide, the X steps 0 <= i <
-    `steps`. `desc` holds per phase (base address, stride 0, stride 1) per
-    array, strides in bytes: the 17 COMPUTE_ROLES in order (r0..r16), then
-    su, sv, sw (o0..o2). `copies` holds per phase and copy (destination,
-    address of source plane dx, source plane stride, row bytes, bytes).
-    compute_block builds both tables, so the C has no staging rule of its
-    own either.
+    `steps`, and returns the doubles its copies moved. `desc` holds per
+    phase (base address, stride 0, stride 1) per array, strides in bytes:
+    the 17 COMPUTE_ROLES in order (r0..r16), then su, sv, sw (o0..o2).
+    `copies` holds per phase and copy (destination, address of source plane
+    dx, source plane stride, row bytes, bytes). compute_block builds both
+    tables; the C's one staging rule is BYTES, the bytes a batch copies.
 
     `pwadvect_lcg(state, narrays, arrays)` fills segments in turn with the
     doubles of grid.lcg_fill's stream from `state`, the masked seed jumped
@@ -361,18 +361,21 @@ def kernel_source() -> str:
         "#define OUTPUT(n) COLUMN(n, y + b)",
         "",
         *_CLONES,
-        "void pwadvect_block(int64_t steps, int64_t phases, int64_t lag, int64_t n1, int64_t rows,",
-        "                    int64_t nz, double tcx, double tcy, const double *tzc1,",
-        "                    const double *tzc2, const int64_t *desc, int64_t ncopies,",
-        "                    const int64_t *copies)",
+        "int64_t pwadvect_block(int64_t steps, int64_t phases, int64_t lag, int64_t n1,",
+        "                       int64_t rows, int64_t nz, double tcx, double tcy,",
+        "                       const double *tzc1, const double *tzc2, const int64_t *desc,",
+        "                       int64_t ncopies, const int64_t *copies)",
         "{",
         "    const int64_t t = nz - 1;",
+        "    size_t moved = 0;",
         "    for (int64_t y = 0; y < rows; y += n1) {",
         "        const int64_t w = WIDTH(y);",
         "        for (int64_t i = 0, a = -lag; i < steps; i++, a++) {",
         "            const int64_t *c = COPIES(i);",
-        "            for (int64_t n = 0; n < ncopies; n++, c += 5)",
+        "            for (int64_t n = 0; n < ncopies; n++, c += 5) {",
         "                memcpy(DEST(c), SOURCE(c, i, y), BYTES(c, w));",
+        "                moved += BYTES(c, w);",
+        "            }",
         "            if (a < 0)",
         "                continue;",
         "            const int64_t *arrays = ARRAYS(a);",
@@ -386,6 +389,7 @@ def kernel_source() -> str:
         "            }",
         "        }",
         "    }",
+        "    return (int64_t)(moved / sizeof(double));",
         "}",
         "",
         *_lcg_source(),
@@ -436,7 +440,7 @@ def _declare(lib):
     pwadvect_lcg declared."""
     lib.pwadvect_block.argtypes = (*[ctypes.c_int64] * 6, ctypes.c_double, ctypes.c_double,
                                    *[ctypes.c_void_p] * 3, ctypes.c_int64, ctypes.c_void_p)
-    lib.pwadvect_block.restype = None
+    lib.pwadvect_block.restype = ctypes.c_int64
     lib.pwadvect_lcg.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
     lib.pwadvect_lcg.restype = None
     return lib
@@ -518,7 +522,7 @@ def _checked_copies(copies, phases: int, steps: int, n1: int, rows: int) -> tupl
 BLOCK_CELLS = 1 << 16
 
 
-def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: int = 0) -> None:
+def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: int = 0) -> int:
     """Check and address a block's arrays and staging copies, then run its
     whole loop nest: one compiled kernel call, or the numpy replay.
 
@@ -535,8 +539,8 @@ def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: in
     step i < n0 + lag fills the first len(dest) - (n1 - w) rows of each
     dest of phase i % P from source plane i + dx, row y on, then evaluates
     row i - lag, if that is >= 0: columns b < w of the roles of phase
-    (i - lag) % P into output rows y + b. The reference run is one phase,
-    no copies, lag 0 and R = n1: one batch, whose step i is row i.
+    (i - lag) % P into output rows y + b. It returns the elements all fills
+    moved: 0 in the reference run (one phase, no copies, lag 0, R = n1).
 
     A bad role, output, copy or lag, no phases, a source plane or row
     outside its array on any step, or coefficients of another length than
@@ -569,13 +573,12 @@ def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: in
                           for phase in copies for dst, src, dx in phase],
                          dtype=np.int64).reshape(len(phases), ncopies, 5)
         tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
-        lib.pwadvect_block(steps, len(phases), lag, n1, rows, nz, coeffs.tcx, coeffs.tcy,
-                           tzc1.ctypes.data, tzc2.ctypes.data, desc.ctypes.data,
-                           ncopies, table.ctypes.data)
-        return
+        return lib.pwadvect_block(steps, len(phases), lag, n1, rows, nz, coeffs.tcx, coeffs.tcy,
+                                  tzc1.ctypes.data, tzc2.ctypes.data, desc.ctypes.data,
+                                  ncopies, table.ctypes.data)
     # the numpy replay: a block that stages runs one step at a time, else
     # blocks of at most BLOCK_CELLS cells
-    scratch = {}
+    scratch, moved = {}, 0
     staged = len(phases) > 1 or copies[0]
     planes = 1 if staged else max(1, BLOCK_CELLS // (n1 * nz))
     block_rows = min(n1, max(1, BLOCK_CELLS // nz))
@@ -586,13 +589,16 @@ def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: in
                  for arrays in phases]
         for i in range(0, steps, planes):
             for dst, src, dx in copies[i % len(phases)]:
-                np.copyto(dst[: len(dst) - n1 + w], src[i + dx, y : y + len(dst) - n1 + w])
+                part = dst[: len(dst) - n1 + w]
+                np.copyto(part, src[i + dx, y : y + len(part)])
+                moved += part.size
             a0, a1 = max(i - lag, 0), min(i + planes, steps) - lag
             if a0 >= a1:
                 continue
             for j0 in range(0, w, block_rows):
                 views = [arr[a0:a1, j0 : j0 + block_rows] for arr in batch[a0 % len(phases)]]
                 _replay_block(coeffs, dict(zip(COMPUTE_ROLES, views)), views[-3:], scratch)
+    return moved
 
 
 def _replay_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict) -> None:

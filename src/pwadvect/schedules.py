@@ -130,15 +130,11 @@ def _run_slab(fields, coeffs, out, slab, spec) -> TrafficReport:
     arrs = {f: getattr(fields, f).data[slab.x_begin - 1 : slab.x_end + 1] for f in "uvw"}
     stage = _plane_ring if spec.variant == "x_reordered" else _role_rows
     copies, phases, lag = stage(arrs, batch, nz)
-    # the call reads each role's staged rows repeated along X (stride 0)
-    compute_block(coeffs, [{role: np.broadcast_to(rows, (slab.width, batch, nz))
-                            for role, rows in roles.items()} for roles in phases],
-                  outs, copies, lag)
-    # each of the nb batches fills every buffer, the last all but its
-    # nb * batch - ny missing rows
-    nb = -(-ny // batch)
-    tc.external_reads = tc.local_writes = (slab.width + lag) * sum(
-        nb * dst.size - (nb * batch - ny) * dst[0].size for dst, _, _ in copies[0])
+    # the call reads each role's staged rows repeated along X (stride 0);
+    # every element its copies move is one external read and one local write
+    tc.external_reads = tc.local_writes = compute_block(
+        coeffs, [{role: np.broadcast_to(rows, (slab.width, batch, nz))
+                  for role, rows in roles.items()} for roles in phases], outs, copies, lag)
     tc.local_reads = touches
     tc.scratch_bytes_peak = sum(dst.nbytes for phase in copies for dst, _, _ in phase)
     return tc

@@ -471,17 +471,18 @@ def test_kernel_source_is_the_tapes():
 
 
 def test_declared_argtypes_match_the_source():
-    # a ctypes declaration that disagrees with the C parameter list is
-    # undefined behaviour, so read each list from the source; no build
+    # a ctypes declaration that disagrees with the C parameter list or
+    # result type is undefined behaviour, so read both from the source (a
+    # void result is declared None); no build
     kinds = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "double": ctypes.c_double}
     source = kernel.kernel_source()
     lib = SimpleNamespace(pwadvect_block=SimpleNamespace(), pwadvect_lcg=SimpleNamespace())
     kernel._declare(lib)
     for name in ("pwadvect_block", "pwadvect_lcg"):
-        params = re.search(rf"void {name}\(([^)]*)\)", source).group(1).split(",")
-        want = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]] for p in params]
+        result, params = re.search(rf"(\w+) {name}\(([^)]*)\)", source).groups()
+        want = [ctypes.c_void_p if "*" in p else kinds[p.split()[-2]] for p in params.split(",")]
         fn = getattr(lib, name)
-        assert list(fn.argtypes) == want and fn.restype is None, name
+        assert list(fn.argtypes) == want and fn.restype is kinds.get(result), name
     assert len(lib.pwadvect_block.argtypes) == 13 and len(lib.pwadvect_lcg.argtypes) == 3
 
 
@@ -713,11 +714,13 @@ def test_staged_block_rejects_bad_copies(case):
 
 
 def test_staged_block_equals_unstaged_roles():
-    # staged per X step, the block equals the one on the unstaged role planes
+    # staged per X step, the block equals the one on the unstaged role
+    # planes; it copies 17 destinations x 3 X steps x 4 rows x nz 5, and the
+    # unstaged block nothing
     coeffs, phases, out, copies, unstaged = _staged_block()
     want = tuple(np.zeros_like(o) for o in out)
-    compute_block(coeffs, [unstaged], want)
-    compute_block(coeffs, phases, out, copies)
+    assert compute_block(coeffs, [unstaged], want) == 0
+    assert compute_block(coeffs, phases, out, copies) == 17 * 3 * 4 * 5
     assert all(w[..., 1:].any() for w in want)
     assert all(np.array_equal(a, b) for a, b in zip(out, want))
 
@@ -727,8 +730,10 @@ def test_staged_batches_equal_unstaged_roles():
     # first 2 rows of each destination; it equals one unstaged batch of 10
     coeffs, phases, out, copies, unstaged = _staged_block(batches=2.5)
     want = tuple(np.zeros_like(o) for o in out)
-    compute_block(coeffs, [unstaged], want)
-    compute_block(coeffs, phases, out, copies)
+    assert compute_block(coeffs, [unstaged], want) == 0
+    # the count of what the copies moved: 17 destinations x 3 X steps x
+    # (4 + 4 + 2) rows x nz 5
+    assert compute_block(coeffs, phases, out, copies) == 17 * 3 * (4 + 4 + 2) * 5
     assert all(w[..., 1:].all() for w in want)
     assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(out, want))
     # the last batch copied 2 rows, so each destination keeps the last 2 rows

@@ -1,14 +1,20 @@
-"""The names perfbench/ binds in pwadvect all exist.
+"""The names perfbench/ binds in pwadvect all exist, and the model calls
+the ones it walks in the order it walks them.
 
 perfbench imports names from pwadvect and wraps others in traced runs (its
 `*_PATCHES` tuples). A name dropped from src/ would break a benchmark run,
-or leave its layer untraced with only a warning; this test, which reads
-perfbench/ without importing it, makes such a drop fail the suite instead.
+or leave its layer untraced with only a warning, and so would a model
+call that no longer goes through a wrapped name. These tests, which never
+import perfbench, make either fail the suite instead.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from pwadvect import dataflow, transfer
+from pwadvect.grid import GridDims
+from pwadvect.params import ModelParams
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,3 +53,40 @@ def test_perfbench_bindings_resolve():
     assert {("pwadvect", "make_grid"), ("pwadvect", "cli"), ("pwadvect.refdata", "HEADLINE"),
             ("pwadvect.grid", "lcg_doubles"), ("pwadvect.transfer", "kernel_time")} <= pairs
     assert [pair for pair in sorted(pairs) if not _resolves(*pair)] == []
+
+
+# perfbench's model workload reads its `dataflow.*` layer metrics from the
+# traced children of each kernel_time call, so it needs these caller ->
+# callee edges; a model refactor that calls the terms some other way would
+# leave those metrics reading 0 with only a warning.
+MODEL_CALL_TREE = {
+    ("kernel_time", "kernel_compute_cycles"),
+    ("kernel_compute_cycles", "pipeline_cycles"),
+    ("kernel_time", "kernel_memory_seconds"),
+    ("kernel_memory_seconds", "kernel_memory_bytes"),
+}
+
+
+def test_model_call_tree_that_perfbench_walks(monkeypatch):
+    stack, edges = [], set()
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            if stack:
+                edges.add((stack[-1], name))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return call
+
+    # the bindings perfbench wraps: end_to_end finds kernel_time in transfer,
+    # kernel_time finds the terms in dataflow
+    monkeypatch.setattr(transfer, "kernel_time", recording("kernel_time", transfer.kernel_time))
+    for name in ("kernel_compute_cycles", "pipeline_cycles", "kernel_memory_seconds",
+                 "kernel_memory_bytes"):
+        monkeypatch.setattr(dataflow, name, recording(name, getattr(dataflow, name)))
+    p = ModelParams()
+    transfer.end_to_end(GridDims(64, 64, 64), 2, p.pipeline, p.memory, p.dma, p.y_batch)
+    assert MODEL_CALL_TREE <= edges

@@ -101,8 +101,9 @@ def test_slab_engines_reuse_scratch(monkeypatch, numpy_replay, variant, widths):
 
     def running(coeffs, phases, out, *staging):
         made.shapes = []
-        real_run(coeffs, phases, out, *staging)
+        moved = real_run(coeffs, phases, out, *staging)
         runs.append((len(phases), out[0].shape[1], made.shapes))
+        return moved  # the slab's traffic counters
 
     monkeypatch.setattr(kernel, "new_scratch", counting)
     monkeypatch.setattr(schedules, "compute_block", running)
@@ -257,15 +258,6 @@ def test_reference_below_piece_cells_is_not_cut(monkeypatch):
         assert compare_outputs(out, run_reference(fields, coeffs)).bitwise_equal
 
 
-@pytest.mark.usefixtures("numpy_replay")
-class TestNumpyReplay:
-    """The reference's pieces on the numpy replay, which makes scratch per call."""
-
-    test_reference_pieces_use_every_core = staticmethod(test_reference_pieces_use_every_core)
-    test_reference_below_piece_cells_is_not_cut = staticmethod(
-        test_reference_below_piece_cells_is_not_cut)
-
-
 def test_traffic_closed_forms_single_engine():
     # the second grid is the x_reordered/y_batched crossover nx = 2, b = 1
     for nx, ny, nz, b in ((7, 5, 6, 5), (2, 5, 6, 1)):
@@ -288,19 +280,22 @@ def test_traffic_closed_forms_single_engine():
         for y_batch in (1, 2, 5):
             _, yb, _ = run_schedule(fields, coeffs, ScheduleSpec("y_batched", y_batch))
             assert yb.external_reads == cb.external_reads  # batch-wise traversal, same total
+            assert yb.local_writes == yb.external_reads
             assert yb.scratch_bytes_peak == 17 * min(y_batch, ny) * nz * 8
 
-        _, xr, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", b))
-        # one 3-plane ring per field and batch: two halo planes, then one
-        # plane per X step, each b'+2 rows of the batch's actual width b'
-        rows = sum(min(b, ny + 1 - j0) + 2 for j0 in range(1, ny + 1, b))
-        assert xr.external_reads == 3 * nz * (nx + 2) * rows
-        assert xr.external_writes == writes
-        assert xr.local_writes == xr.external_reads      # ring fills, no shifts
-        assert xr.local_reads == nx * ny * col_reads     # compute operand touches
-        assert xr.scratch_bytes_peak == 9 * (b + 2) * nz * 8
-        # 36 against y_batched's 34 reads per Y row and level at the crossover
-        assert (xr.external_reads < yb.external_reads) == (nx > 2 or b > 1)
+        # b = 2 leaves a ragged last batch: its rings fill 1 + 2 rows
+        for b in (b, 2):
+            _, xr, _ = run_schedule(fields, coeffs, ScheduleSpec("x_reordered", b))
+            # one 3-plane ring per field and batch: two halo planes, then one
+            # plane per X step, each b'+2 rows of the batch's actual width b'
+            rows = sum(min(b, ny + 1 - j0) + 2 for j0 in range(1, ny + 1, b))
+            assert xr.external_reads == 3 * nz * (nx + 2) * rows
+            assert xr.external_writes == writes
+            assert xr.local_writes == xr.external_reads      # ring fills, no shifts
+            assert xr.local_reads == nx * ny * col_reads     # compute operand touches
+            assert xr.scratch_bytes_peak == 9 * (b + 2) * nz * 8
+            # 36 against y_batched's 34 reads per Y row and level at the crossover
+            assert (xr.external_reads < yb.external_reads) == (nx > 2 or b > 1)
 
 
 def test_ladder_traffic_ordering():
@@ -447,3 +442,16 @@ def test_wall_time_reported():
     dims, fields, coeffs = case(nx=2, ny=2, nz=2)
     _, _, wall = run_schedule(fields, coeffs, ScheduleSpec("reference"))
     assert wall > 0.0
+
+
+@pytest.mark.usefixtures("numpy_replay")
+class TestNumpyReplay:
+    """The reference's pieces on the numpy replay, which makes scratch per
+    call, and the traffic counters, which both evaluators count as they copy."""
+
+    test_reference_pieces_use_every_core = staticmethod(test_reference_pieces_use_every_core)
+    test_reference_below_piece_cells_is_not_cut = staticmethod(
+        test_reference_below_piece_cells_is_not_cut)
+    test_traffic_closed_forms_single_engine = staticmethod(
+        test_traffic_closed_forms_single_engine)
+    test_multi_engine_traffic_totals = staticmethod(test_multi_engine_traffic_totals)
