@@ -31,7 +31,6 @@ from .kernel import (
 )
 from .schedules import (
     ScheduleSpec,
-    Slab,
     TrafficReport,
     compare_outputs,
     partition_domain,

@@ -128,7 +128,16 @@ def _report(p: ModelParams, dims, engines: int):
                       p.controllers)
 
 
+def _check_y_batch(p: ModelParams, dims) -> None:
+    """check_config's y_batch rule, naming the parameter-file key: no option sets y_batch."""
+    try:
+        check_config(dims, 1, p.y_batch)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (parameter-file key model.y_batch)") from None
+
+
 def _model_row(p: ModelParams, dims, engines: int) -> dict:
+    _check_y_batch(p, dims)
     return {**_report(p, dims, engines).as_row(), "nx": dims.nx, "ny": dims.ny, "nz": dims.nz}
 
 
@@ -243,11 +252,14 @@ def cmd_calibrate(args, parser) -> int:
                     raise ValueError(f"engines = {engines!r} is not an integer")
                 if not (np.isfinite(seconds) and seconds > 0):
                     raise ValueError(f"seconds = {seconds!r} must be finite and > 0")
-                check_config(dims, engines, p.y_batch)
+                check_config(dims, engines, 1)  # y_batch: below, for every observation
         except (OSError, ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
             parser.error(f"bad observations file {args.obs}: {exc}")
     else:
         observations = _builtin_observations(p)
+    with _usage_errors(parser):
+        for dims, _, _ in observations:
+            _check_y_batch(p, dims)
     try:
         result = calibrate(observations, p.pipeline, p.y_batch, p.controllers, base=p.memory)
     except ValueError as exc:

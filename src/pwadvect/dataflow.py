@@ -100,9 +100,18 @@ def kernel_memory_seconds(dims: GridDims, mem: MemoryModel, y_batch: int,
     return kernel_memory_bytes(dims, mem, y_batch) / bw
 
 
-def _engine_share(dims: GridDims, engines: int) -> GridDims:
-    # widest slab dominates; ceil split as in schedules.partition_domain
-    return GridDims(math.ceil(dims.nx / engines), dims.ny, dims.nz)
+def _slowest_engine(dims: GridDims, spec: PipelineSpec, y_batch: int, engines: int,
+                    controllers: int) -> tuple[GridDims, int, float]:
+    """The slowest engine: its share of the grid, the widest X slab of
+    ceil(nx / engines) columns as schedules.partition_domain cuts; its
+    controller group, the most crowded of ceil(engines / controllers)
+    engines; and its compute seconds. ValueError for an illegal configuration."""
+    check_config(dims, engines, y_batch)
+    if controllers < 1:
+        raise ValueError("controllers must be >= 1")
+    share = GridDims(math.ceil(dims.nx / engines), dims.ny, dims.nz)
+    compute = kernel_compute_cycles(share, spec, y_batch) / spec.clock_hz
+    return share, math.ceil(engines / controllers), compute
 
 
 def kernel_time(dims: GridDims, spec: PipelineSpec, mem: MemoryModel,
@@ -113,12 +122,7 @@ def kernel_time(dims: GridDims, spec: PipelineSpec, mem: MemoryModel,
     the reported time is the slowest engine: widest X slab, most crowded
     controller group.
     """
-    check_config(dims, engines, y_batch)
-    if controllers < 1:
-        raise ValueError("controllers must be >= 1")
-    share = _engine_share(dims, engines)
-    group = math.ceil(engines / controllers)
-    compute = kernel_compute_cycles(share, spec, y_batch) / spec.clock_hz
+    share, group, compute = _slowest_engine(dims, spec, y_batch, engines, controllers)
     return compute + kernel_memory_seconds(share, mem, y_batch, group)
 
 
@@ -152,10 +156,8 @@ def calibrate(observations, spec: PipelineSpec, y_batch: int,
         raise ValueError("need at least two observations")
     rows, rhs = [], []
     for dims, engines, seconds in obs:
-        check_config(dims, engines, y_batch)
-        share = _engine_share(dims, engines)
-        group = math.ceil(engines / controllers)
-        mem_seconds = seconds - kernel_compute_cycles(share, spec, y_batch) / spec.clock_hz
+        share, group, compute = _slowest_engine(dims, spec, y_batch, engines, controllers)
+        mem_seconds = seconds - compute
         if mem_seconds <= 0:
             raise ValueError(
                 f"observation {dims} x{engines} is faster than modeled compute alone")

@@ -198,11 +198,20 @@ def _lcg_jump(n: int) -> tuple[int, int]:
 _THREAD_MIN = 1 << 18
 
 
-def _parts(work: int, rows: int, sharers: int = 1) -> int:
-    """How many pieces to cut `work` values, laid out in `rows` whole rows,
-    into when `sharers` such cuts run at once: one per _THREAD_MIN values,
+def cut(span: range, parts: int) -> list[range]:
+    """`span` cut into `parts` contiguous ranges, in order, their lengths
+    differing by at most one, longer first."""
+    base, rem = divmod(len(span), parts)
+    bounds = [p * base + min(p, rem) for p in range(parts + 1)]
+    return [span[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _pieces(span: range, work: int, sharers: int = 1) -> list[range]:
+    """`span`, a run of whole rows that holds `work` values or cells, cut for
+    `sharers` such cuts running at once: one piece per _THREAD_MIN of work,
     at most one per row and ceil(cores / sharers), at least one."""
-    return max(1, min(-(-(os.cpu_count() or 1) // sharers), rows, work // _THREAD_MIN))
+    cores = os.cpu_count() or 1
+    return cut(span, max(1, min(-(-cores // sharers), len(span), work // _THREAD_MIN)))
 
 
 def _on_threads(fn, jobs: list) -> list:
@@ -246,17 +255,6 @@ def _segments(views: list[np.ndarray], owners: list[int]) -> np.ndarray:
     return table
 
 
-def _split(table: np.ndarray, parts: int) -> list[tuple[int, np.ndarray]]:
-    """The rows of `table` cut into `parts` runs of whole rows, their row
-    counts differing by at most one, longer first: (offset of the run's
-    first value in the stream, its segment table) for each."""
-    pieces, offset = [], 0
-    for run in np.array_split(table, parts):
-        pieces.append((offset, run))
-        offset += int(run[:, 1].sum())
-    return pieces
-
-
 def lcg_fill(seed: int, arrays) -> None:
     """Fill float64 `arrays` in turn, each in index order, from one stream of
     doubles in [0, 1) of the Knuth MMIX 64-bit LCG.
@@ -272,8 +270,8 @@ def lcg_fill(seed: int, arrays) -> None:
 
     The stream is generated by `pwadvect_lcg` in the library that holds the
     compiled kernel (see kernel.kernel_source), loaded or built on the first
-    call that has values to make. A fill of n values in r rows is cut into
-    _parts(n, r) runs of whole rows (_split), each generated by one job of
+    call that has values to make. A fill of n values is cut into
+    _pieces(rows, n) runs of whole rows, each generated by one job of
     _on_threads from the state jumped ahead to its start (_lcg_jump).
     Without that library it is evaluated in numpy on the calling thread, in
     chunks of at most _LCG_CHUNK values with jump tables built once per call
@@ -291,12 +289,13 @@ def lcg_fill(seed: int, arrays) -> None:
 
     lib, s = kernel._compiled(), seed & _LCG_MASK
     if lib is not None:
-        def fill(piece):
-            offset, segments = piece
-            a, c = _lcg_jump(offset)
-            lib.pwadvect_lcg((a * s + c) & _LCG_MASK, len(segments), segments.ctypes.data)
+        starts = np.cumsum(table[:, 1]) - table[:, 1]  # each row's offset in the stream
 
-        _on_threads(fill, _split(table, _parts(int(table[:, 1].sum()), len(table))))
+        def fill(rows):
+            a, c = _lcg_jump(int(starts[rows.start]))
+            lib.pwadvect_lcg((a * s + c) & _LCG_MASK, len(rows), table[rows.start :].ctypes.data)
+
+        _on_threads(fill, _pieces(range(len(table)), int(table[:, 1].sum())))
         return
     mult, inc = _lcg_jump_tables(min(int(table[:, 1].max()), _LCG_CHUNK))
     state = np.empty_like(mult)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .dataflow import MemoryModel, PipelineSpec
 from .kernel import FlopProfile
+from .refdata import TUNED_PIPE
 from .transfer import DmaConfig
 
 ENV_VAR = "PWADVECT_PARAMS"
@@ -37,8 +38,7 @@ class ModelParams:
     Field order is the key order of a dumped parameter file.
     """
 
-    pipeline: PipelineSpec = field(
-        default_factory=lambda: PipelineSpec(depth=72, ii=1, clock_hz=310e6))
+    pipeline: PipelineSpec = TUNED_PIPE
     memory: MemoryModel = field(
         default_factory=lambda: MemoryModel(
             eff_bandwidth_1=CALIBRATED_BANDWIDTH, contention=CALIBRATED_CONTENTION))

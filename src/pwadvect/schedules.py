@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldSet, GridDims, SourceSet, _on_threads, _parts, check_config, zeros_sources
+from .grid import (FieldSet, GridDims, SourceSet, _on_threads, _pieces, check_config, cut,
+                   zeros_sources)
 from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
@@ -26,28 +27,11 @@ from .kernel import (
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
 
 
-@dataclass(frozen=True)
-class Slab:
-    """One engine's interior X range, 1-based, begin inclusive, end exclusive."""
-
-    x_begin: int
-    x_end: int
-
-    @property
-    def width(self) -> int:
-        return self.x_end - self.x_begin
-
-    def split(self, parts: int) -> list["Slab"]:
-        """`parts` contiguous pieces, widths differing by at most one, wider first."""
-        base, rem = divmod(self.width, parts)
-        bounds = [self.x_begin + p * base + min(p, rem) for p in range(parts + 1)]
-        return [Slab(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def partition_domain(dims: GridDims, engines: int) -> list[Slab]:
-    """Balanced contiguous X slabs; widths differ by at most one."""
+def partition_domain(dims: GridDims, engines: int) -> list[range]:
+    """The engines' interior X ranges, 1-based: balanced and contiguous,
+    widths differing by at most one, wider first (grid.cut)."""
     check_config(dims, engines, y_batch=1)
-    return Slab(1, dims.nx + 1).split(engines)
+    return cut(range(1, dims.nx + 1), engines)
 
 
 @dataclass(frozen=True)
@@ -85,7 +69,7 @@ class TrafficReport:
 
 # A staging rule lays out the scratch buffers of a slab's Y batches of `bw`
 # rows. Its sources hold the slab's X planes, full height, and one halo
-# plane on each side, so source plane p is X plane x_begin - 1 + p and
+# plane on each side, so source plane p is X plane slab.start - 1 + p and
 # output row a is source plane a + 1. It returns, per staging phase, the
 # copies that an X step makes, as (destination, source, dx), and the role
 # rows that the phase's rows read; and the lag, in X steps, from step to
@@ -116,24 +100,24 @@ def _plane_ring(arrs, bw, nz):
 
 def _run_slab(fields, coeffs, out, slab, spec) -> TrafficReport:
     nz, ny = fields.dims.nz, fields.dims.ny
-    columns = slab.width * ny
+    columns = len(slab) * ny
     # every schedule computes each column once: 54 operand touches per mid
     # level and 45 at the top, and 3 outputs stored at levels k >= 2 only
     touches = columns * (reads_per_point(False) * (nz - 2) + reads_per_point(True))
     tc = TrafficReport(external_writes=3 * columns * (nz - 1))
-    outs = tuple(f.data[slab.x_begin : slab.x_end, 1 : ny + 1] for f in (out.su, out.sv, out.sw))
+    outs = tuple(f.data[slab.start : slab.stop, 1 : ny + 1] for f in (out.su, out.sv, out.sw))
     if spec.variant == "reference":
-        compute_block(coeffs, [grid_roles(fields, slab.x_begin, slab.x_end)], outs)
+        compute_block(coeffs, [grid_roles(fields, slab.start, slab.stop)], outs)
         tc.external_reads = touches
         return tc
     batch = 1 if spec.variant == "column_buffered" else spec.y_batch
-    arrs = {f: getattr(fields, f).data[slab.x_begin - 1 : slab.x_end + 1] for f in "uvw"}
+    arrs = {f: getattr(fields, f).data[slab.start - 1 : slab.stop + 1] for f in "uvw"}
     stage = _plane_ring if spec.variant == "x_reordered" else _role_rows
     copies, phases, lag = stage(arrs, batch, nz)
     # the call reads each role's staged rows repeated along X (stride 0);
     # every element its copies move is one external read and one local write
     tc.external_reads = tc.local_writes = compute_block(
-        coeffs, [{role: np.broadcast_to(rows, (slab.width, batch, nz))
+        coeffs, [{role: np.broadcast_to(rows, (len(slab), batch, nz))
                   for role, rows in roles.items()} for roles in phases], outs, copies, lag)
     tc.local_reads = touches
     tc.scratch_bytes_peak = sum(dst.nbytes for phase in copies for dst, _, _ in phase)
@@ -146,19 +130,19 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
 
     Inputs are shared read-only across engines; each engine writes only its
     X slab of the output, so results are independent of worker interleaving.
-    The reference cuts each of its `engines` slabs further into
-    grid._parts(cells, width, engines) X pieces, each run as its own slab: a
-    1-engine run then uses every core for the kernel and for the first touch
-    of the fresh outputs, and since its counters are linear in columns, with
-    no scratch, the pieces sum to the same traffic. Engines are logical: the
-    jobs run on grid._on_threads.
+    The reference cuts each of its `engines` slabs further into the X
+    pieces of grid._pieces(slab, cells, engines), each run as its own slab:
+    a 1-engine run then uses every core for the kernel and for the first
+    touch of the fresh outputs, and since its counters are linear in
+    columns, with no scratch, the pieces sum to the same traffic. Engines
+    are logical: the jobs run on grid._on_threads.
     """
     dims = fields.dims
     spec.validate(dims)
     jobs = partition_domain(dims, spec.engines)
     if spec.variant == "reference":
-        jobs = [piece for slab in jobs for piece in slab.split(
-            _parts(slab.width * dims.ny * dims.nz, slab.width, spec.engines))]
+        jobs = [piece for slab in jobs
+                for piece in _pieces(slab, len(slab) * dims.ny * dims.nz, spec.engines)]
     out = zeros_sources(dims)
     t0 = time.perf_counter()
     counters = _on_threads(lambda slab: _run_slab(fields, coeffs, out, slab, spec), jobs)

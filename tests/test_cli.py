@@ -24,11 +24,54 @@ def run_cli(*argv):
         return exc.code
 
 
+# `validate` stdout with the default parameters; the text is frozen, so a
+# change to any label, citation, value format or verdict shows here
+VALIDATE_TEXT = (
+    "validating against: published PW-advection HLS port study (ADM8K5 / KU115-2)\n"
+    "PASS  pipeline per-column run: 199 total / 57 full cycles  [got 199/57]"
+    "  <pipeline report: 71-deep, II=2, 64-element column>\n"
+    "PASS  pipeline per-column utilisation: 28.6% +/- 0.5  [got 28.64%]"
+    "  <pipeline report: 28% full>\n"
+    "PASS  pipeline batched run: 4167 total cycles  [got 4167]"
+    "  <pipeline report: 64-column batch, II=1>\n"
+    "PASS  pipeline batched utilisation: 96.6% +/- 0.5  [got 96.59%]"
+    "  <pipeline report: 97% full>\n"
+    "PASS  latency 65 stages at 4 ns == 2.6e-7 s  [got 2.6e-07]"
+    "  <retiming note: 2.6e-7 s before clock tuning>\n"
+    "PASS  latency 72 stages at 3.2 ns == 2.304e-7 s  [got 2.304e-07]"
+    "  <retiming note: 2.3e-7 s after clock tuning>\n"
+    "PASS  round-trip volume at 268.3M cells: 12.88 GB +/- 1%  [got 12.88 GB]"
+    "  <largest-case note: 12.88 GB transferred>\n"
+    "PASS  one-way volume at 268.3M cells: 6.44 GB +/- 1%  [got 6.439 GB]"
+    "  <grid-size note: 6.44 GB of field data>\n"
+    "PASS  12.88 GB at end-to-end rate: 2.2 s +/- 2%  [got 2.202 s]"
+    "  <largest-case note: 12.88 GB takes 2.2 s (5.85 GB/s)>\n"
+    "PASS  DMA 1.6 GB, split_banks_4ch: 232 ms exactly  [got 0.232]"
+    "  <DMA configuration table: 'Design described here'>\n"
+    "PASS  DMA 1.6 GB, one_controller_4ch: 280 ms exactly  [got 0.28]"
+    "  <DMA configuration table: 'One memory controller only'>\n"
+    "PASS  DMA 1.6 GB, connected_controllers_4ch: 239 ms exactly  [got 0.239]"
+    "  <DMA configuration table: 'Two memory controllers connected'>\n"
+    "PASS  DMA 1.6 GB, one_ch_per_controller: 342 ms exactly  [got 0.342]"
+    "  <DMA configuration table: 'One DMA channel per memory controller'>\n"
+    "PASS  kernel time 512x512x64, one engine: 514.9 ms +/- 5%  [got 514.9 ms]"
+    "  <kernel optimisation ladder row: 'Tune double precision cores and clock to 310Mhz'>\n"
+    "PASS  kernel GFLOP/s at 268.3M cells, 12 engines: 14.36 +/- 5%  [got 14.36]"
+    "  <scaling note: HLS kernel provides 14.36 GFLOP/s>\n"
+    "PASS  total GFLOP/s at 268.3M cells, 12 engines: 4.2 +/- 10%  [got 4.46]"
+    "  <scaling note: drops to 4.2 GFLOP/s with DMA included>\n"
+    "PASS  DMA fraction at 67M cells, 12 engines: >= 0.65  [got 0.689]"
+    "  <breakdown note: 70% of total time in DMA transfer; checked as >= 0.65>\n"
+    "PASS  DMA fraction non-decreasing over engines 1..12"
+    "  [got 0.211, 0.348, 0.427, 0.499, 0.536, 0.581, 0.600, 0.632, 0.642, 0.665, 0.671, 0.689]"
+    "  <breakdown note: 70% of total time in DMA transfer; checked as >= 0.65>\n"
+    "OK: all checks passed\n"
+)
+
+
 def test_validate_passes_with_defaults(capsys):
     assert run_cli("validate") == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "OK: all checks passed" in out
+    assert capsys.readouterr().out == VALIDATE_TEXT
 
 
 def test_validate_names_failing_check_on_perturbed_depth(tmp_path, capsys):
@@ -266,7 +309,7 @@ def test_calibrate_degenerate_observations(tmp_path, capsys):
     assert "contention > 1" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(tmp_path, monkeypatch):
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli() == 2
     assert run_cli("bench", "--grid", "not-a-grid") == 2
     # fields that cannot be allocated: numpy refuses this size before allocating
@@ -284,6 +327,17 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
     assert run_cli("model", "--cells", "1e308", "--engines", "12") == 2
     assert run_cli("sweep", "--cells-list", "0") == 2
     assert run_cli("sweep", "--cells-list", "1e6", "--engines", ",") == 2
+    # y_batch is no option of the model: the message names its parameter-file key
+    big_batch = tmp_path / "batch.params"
+    big_batch.write_text("model.y_batch = 600\n")  # above the calibration anchors' ny = 512
+    capsys.readouterr()
+    for argv in (("model", "--grid", "64x32x64"), ("model", "--cells", "1e4"),
+                 ("sweep", "--grid", "64x32x64", "--engines", "1,2"),
+                 ("sweep", "--cells-list", "1e6,1e4"),
+                 ("calibrate", "--params", str(big_batch))):
+        assert run_cli(*argv) == 2
+        assert "y_batch must be in 1..ny=" in (err := capsys.readouterr().err)
+        assert "(parameter-file key model.y_batch)" in err
     # --cells-list sweeps at one engine count and factors its own grids
     for extra in (("--engines", "1,4"), ("--grid", "8x8x8"), ("--cells", "1e6")):
         assert run_cli("sweep", "--cells-list", "1e6", *extra) == 2
@@ -305,6 +359,7 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
                 {"grid": "not-a-grid", "engines": 12, "seconds": 0.3}):
         obs.write_text(json.dumps([ladder, bad]))
         assert run_cli("calibrate", "--obs", str(obs)) == 2
+        assert ("model.y_batch" in capsys.readouterr().err) == (bad["grid"] == "64x32x64")
     for raw in ({"grid": "512x512x64"}, [1]):
         obs.write_text(json.dumps(raw))
         assert run_cli("calibrate", "--obs", str(obs)) == 2

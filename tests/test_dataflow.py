@@ -7,7 +7,7 @@ from pwadvect.dataflow import (
     CalibrationResult,
     MemoryModel,
     PipelineSpec,
-    _engine_share,
+    _slowest_engine,
     calibrate,
     gflops,
     kernel_compute_cycles,
@@ -129,8 +129,12 @@ def test_engine_share_is_widest_slab():
     for nx in range(1, 41):
         dims = GridDims(nx, 2, 2)
         for engines in range(1, nx + 1):
-            widest = max(s.width for s in partition_domain(dims, engines))
-            assert _engine_share(dims, engines).nx == widest
+            widest = max(map(len, partition_domain(dims, engines)))
+            pipe = PARAMS.pipeline
+            share, group, compute = _slowest_engine(dims, pipe, 1, engines, 2)
+            assert share == GridDims(widest, 2, 2)
+            assert group == math.ceil(engines / 2)
+            assert compute == kernel_compute_cycles(share, pipe, 1) / pipe.clock_hz
 
 
 def _error(call):
@@ -200,6 +204,10 @@ def test_calibrate_rejects_observation_faster_than_compute():
 def test_kernel_time_rejects_no_controllers():
     with pytest.raises(ValueError, match="controllers must be >= 1"):
         kernel_time(GRID_LADDER, PARAMS.pipeline, PARAMS.memory, 64, engines=1, controllers=0)
+    # calibrate places its observations by the same rule
+    obs = [(GRID_LADDER, 1, 0.5149), (GRID_LARGEST, 12, 0.99)]
+    with pytest.raises(ValueError, match="controllers must be >= 1"):
+        calibrate(obs, PARAMS.pipeline, 64, controllers=0)
 
 
 def test_gflops_examples():

@@ -29,7 +29,6 @@ from pwadvect.grid import (
     zeros_field,
 )
 from pwadvect.params import ModelParams
-from pwadvect.schedules import Slab
 from naive_oracle import naive_lcg_doubles
 
 GOLDENS = json.loads((Path(__file__).parent / "goldens.json").read_text())
@@ -246,17 +245,18 @@ def test_threaded_fill_equals_numpy_path_and_naive_stream(monkeypatch, cores, se
     assert np.array_equal(got, naive_lcg_doubles(seed, got.size))
 
 
-def test_split_cuts_the_stream_into_equal_contiguous_ranges():
-    # runs of whole rows, as many rows each as Slab.split gives X columns
-    sizes = np.array([5, 9, 16, 1, 23, 3])
-    table = np.stack([1000 + 8 * (np.cumsum(sizes) - sizes), sizes], axis=1).astype(np.int64)
-    for parts in range(1, len(sizes) + 1):
-        pieces = grid._split(table, parts)
-        rows = [len(piece) for _, piece in pieces]
-        assert rows == [slab.width for slab in Slab(0, len(sizes)).split(parts)]
-        assert [lo for lo, _ in pieces] == [sizes[: sum(rows[:p])].sum() for p in range(parts)]
-        # the pieces' rows, in turn, are the table's rows, once each
-        assert np.concatenate([piece for _, piece in pieces]).tolist() == table.tolist()
+@given(st.integers(-20, 20), st.integers(0, 40), st.integers(1, 45))
+@example(1, 13, 5)  # range(1, 14) in 3, 3, 3, 2, 2
+def test_cut_tiles_the_span_longer_pieces_first(start, length, parts):
+    span = range(start, start + length)
+    pieces = grid.cut(span, parts)
+    assert len(pieces) == parts
+    # contiguous, in order: the pieces' values, in turn, are the span's, once each
+    assert [i for piece in pieces for i in piece] == list(span)
+    assert all(piece.step == 1 for piece in pieces)  # callers slice by start and stop
+    lengths = [len(piece) for piece in pieces]
+    assert lengths == sorted(lengths, reverse=True)
+    assert lengths[0] - lengths[-1] <= 1
 
 
 def test_fill_threads_never_exceed_cores(monkeypatch):
@@ -302,7 +302,7 @@ def _thread_names(path: Path) -> set[str]:
 
 
 def test_only_grid_sizes_and_starts_threads():
-    # one rule for parallel work: grid._parts and grid._on_threads
+    # one rule for parallel work: grid._pieces and grid._on_threads
     src = Path(grid.__file__).parent
     used = {path.name: _thread_names(path) for path in sorted(src.glob("*.py"))}
     assert used.pop("grid.py") == {"ThreadPoolExecutor", "cpu_count"}

@@ -12,7 +12,6 @@ from pwadvect.schedules import (
     VARIANTS,
     OutputComparison,
     ScheduleSpec,
-    Slab,
     compare_outputs,
     partition_domain,
     run_schedule,
@@ -28,10 +27,10 @@ def case(nx=6, ny=5, nz=7, seed=42):
 
 
 def test_partition_examples():
-    assert partition_domain(GridDims(512, 4, 2), 1) == [Slab(1, 513)]
+    assert partition_domain(GridDims(512, 4, 2), 1) == [range(1, 513)]
     slabs = partition_domain(GridDims(512, 4, 2), 4)
-    assert [s.width for s in slabs] == [128, 128, 128, 128]
-    assert sorted(s.width for s in partition_domain(GridDims(10, 4, 2), 3)) == [3, 3, 4]
+    assert [len(s) for s in slabs] == [128, 128, 128, 128]
+    assert [len(s) for s in partition_domain(GridDims(10, 4, 2), 3)] == [4, 3, 3]
 
 
 def test_partition_covers_disjointly():
@@ -39,9 +38,9 @@ def test_partition_covers_disjointly():
         dims = GridDims(nx, 2, 2)
         for engines in range(1, nx + 1):
             slabs = partition_domain(dims, engines)
-            cells = [i for s in slabs for i in range(s.x_begin, s.x_end)]
+            cells = [i for s in slabs for i in s]
             assert cells == list(range(1, nx + 1))
-            assert max(s.width for s in slabs) - min(s.width for s in slabs) <= 1
+            assert max(map(len, slabs)) - min(map(len, slabs)) <= 1
 
 
 def test_partition_rejects_bad_engine_counts():
