@@ -25,6 +25,8 @@ from .kernel import (
 )
 
 VARIANTS = ("reference", "column_buffered", "y_batched", "x_reordered")
+# the variants that stage Y batches of y_batch rows; column_buffered's are one row
+Y_BATCHED = ("y_batched", "x_reordered")
 
 
 def partition_domain(dims: GridDims, engines: int) -> list[range]:
@@ -45,11 +47,10 @@ class ScheduleSpec:
             raise ValueError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
 
     def validate(self, dims: GridDims) -> None:
-        check_config(dims, self.engines, self.y_batch,
-                     batched=self.variant in ("y_batched", "x_reordered"))
+        check_config(dims, self.engines, self.y_batch, batched=self.variant in Y_BATCHED)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrafficReport:
     """Element loads/stores per memory class; scratch peak is per engine."""
 
@@ -58,13 +59,6 @@ class TrafficReport:
     local_reads: int = 0
     local_writes: int = 0
     scratch_bytes_peak: int = 0
-
-    def merge(self, other: "TrafficReport") -> None:
-        self.external_reads += other.external_reads
-        self.external_writes += other.external_writes
-        self.local_reads += other.local_reads
-        self.local_writes += other.local_writes
-        self.scratch_bytes_peak = max(self.scratch_bytes_peak, other.scratch_bytes_peak)
 
 
 # A staging rule lays out the scratch buffers of a slab's Y batches of `bw`
@@ -98,30 +92,22 @@ def _plane_ring(arrs, bw, nz):
     return copies, roles, 2
 
 
-def _run_slab(fields, coeffs, out, slab, spec) -> TrafficReport:
+def _run_slab(fields, coeffs, out, slab, spec) -> tuple[int, int]:
+    """One compute_block call over X range `slab`; returns (elements its copies
+    staged, bytes of its staging buffers), (0, 0) for the reference."""
     nz, ny = fields.dims.nz, fields.dims.ny
-    columns = len(slab) * ny
-    # every schedule computes each column once: 54 operand touches per mid
-    # level and 45 at the top, and 3 outputs stored at levels k >= 2 only
-    touches = columns * (reads_per_point(False) * (nz - 2) + reads_per_point(True))
-    tc = TrafficReport(external_writes=3 * columns * (nz - 1))
     outs = tuple(f.data[slab.start : slab.stop, 1 : ny + 1] for f in (out.su, out.sv, out.sw))
     if spec.variant == "reference":
-        compute_block(coeffs, [grid_roles(fields, slab.start, slab.stop)], outs)
-        tc.external_reads = touches
-        return tc
-    batch = 1 if spec.variant == "column_buffered" else spec.y_batch
+        return compute_block(coeffs, [grid_roles(fields, slab.start, slab.stop)], outs), 0
+    batch = spec.y_batch if spec.variant in Y_BATCHED else 1
     arrs = {f: getattr(fields, f).data[slab.start - 1 : slab.stop + 1] for f in "uvw"}
     stage = _plane_ring if spec.variant == "x_reordered" else _role_rows
     copies, phases, lag = stage(arrs, batch, nz)
-    # the call reads each role's staged rows repeated along X (stride 0);
-    # every element its copies move is one external read and one local write
-    tc.external_reads = tc.local_writes = compute_block(
+    # the call reads each role's staged rows repeated along X (stride 0)
+    staged = compute_block(
         coeffs, [{role: np.broadcast_to(rows, (len(slab), batch, nz))
                   for role, rows in roles.items()} for roles in phases], outs, copies, lag)
-    tc.local_reads = touches
-    tc.scratch_bytes_peak = sum(dst.nbytes for phase in copies for dst, _, _ in phase)
-    return tc
+    return staged, sum(dst.nbytes for phase in copies for dst, _, _ in phase)
 
 
 def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
@@ -131,11 +117,11 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
     Inputs are shared read-only across engines; each engine writes only its
     X slab of the output, so results are independent of worker interleaving.
     The reference cuts each of its `engines` slabs further into the X
-    pieces of grid._pieces(slab, cells, engines), each run as its own slab:
-    a 1-engine run then uses every core for the kernel and for the first
-    touch of the fresh outputs, and since its counters are linear in
-    columns, with no scratch, the pieces sum to the same traffic. Engines
-    are logical: the jobs run on grid._on_threads.
+    pieces of grid._pieces(slab, cells, engines), each run as its own slab,
+    so a 1-engine run uses every core for the kernel and for the first
+    touch of the fresh outputs. Engines are logical: the jobs run on
+    grid._on_threads. A job returns only what its kernel call staged; the
+    traffic is derived once, over the whole grid, so no cut can change it.
     """
     dims = fields.dims
     spec.validate(dims)
@@ -145,11 +131,19 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
                 for piece in _pieces(slab, len(slab) * dims.ny * dims.nz, spec.engines)]
     out = zeros_sources(dims)
     t0 = time.perf_counter()
-    counters = _on_threads(lambda slab: _run_slab(fields, coeffs, out, slab, spec), jobs)
+    measured = _on_threads(lambda slab: _run_slab(fields, coeffs, out, slab, spec), jobs)
     wall = time.perf_counter() - t0
-    traffic = TrafficReport()
-    for tc in counters:
-        traffic.merge(tc)
+    # every schedule computes each column once: 54 operand touches per mid
+    # level and 45 at the top, and 3 outputs stored at levels k >= 2 only
+    columns = dims.nx * dims.ny
+    touches = columns * (reads_per_point(False) * (dims.nz - 2) + reads_per_point(True))
+    # compute reads the grid in the reference, else the staging buffers;
+    # every element the copies staged is one external read and one local write
+    grid_touches, local_reads = (touches, 0) if spec.variant == "reference" else (0, touches)
+    staged = sum(n for n, _ in measured)
+    traffic = TrafficReport(external_reads=staged + grid_touches,
+                            external_writes=3 * columns * (dims.nz - 1), local_reads=local_reads,
+                            local_writes=staged, scratch_bytes_peak=max(b for _, b in measured))
     return out, traffic, wall
 
 

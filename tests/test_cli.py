@@ -88,7 +88,7 @@ def test_validate_compares_against_refdata(monkeypatch, capsys):
     assert run_cli("validate") == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL  ")]
     assert len(fails) == 1
-    assert fails[0].startswith("FAIL  kernel GFLOP/s at 268.3M cells, 12 engines")
+    assert fails[0].startswith("FAIL  kernel GFLOP/s at 268.3M cells, 12 engines: 20 +/- 5%  ")
 
 
 def test_repeated_main_leaves_no_cyclic_garbage(capsys):
