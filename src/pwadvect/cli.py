@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataflow import calibrate, kernel_time, pipeline_cycles, pipeline_latency
+from .dataflow import calibrate, check_observation, kernel_time, pipeline_cycles, pipeline_latency
 from .grid import GeneratorSpec, GridDims, check_config, checksums, fill_fields
 from .kernel import default_coefficients, evaluator
 from .params import ModelParams, ParamError, dump_params, load_params
@@ -245,12 +245,8 @@ def cmd_calibrate(args, parser) -> int:
             raw = json.loads(Path(args.obs).read_text())
             observations = [(_parse_grid(o["grid"]), o["engines"], float(o["seconds"]))
                             for o in raw]
-            for dims, engines, seconds in observations:
-                if type(engines) is not int:
-                    raise ValueError(f"engines = {engines!r} is not an integer")
-                if not (np.isfinite(seconds) and seconds > 0):
-                    raise ValueError(f"seconds = {seconds!r} must be finite and > 0")
-                check_config(dims, engines, 1)  # y_batch: below, for every observation
+            for observation in observations:
+                check_observation(*observation)  # y_batch: below, for every observation
         except (OSError, ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
             parser.error(f"bad observations file {args.obs}: {exc}")
     else:

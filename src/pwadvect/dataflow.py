@@ -17,6 +17,22 @@ from .grid import GridDims, check_config
 from .kernel import FlopProfile
 
 
+def check_count(name: str, value) -> None:
+    """A count field: an int >= 1. ValueError "<name> = <value> <rule>"."""
+    if type(value) is not int or value < 1:
+        rule = "must be >= 1" if type(value) is int else "must be an integer"
+        raise ValueError(f"{name} = {value} {rule}")
+
+
+def check_positive(name: str, value, top: float | None = None) -> None:
+    """A float field: finite and > 0, and at most `top` if one is given.
+    ValueError "<name> = <value> <rule>"."""
+    if not 0 < value < math.inf or (top is not None and value > top):
+        rule = ("must be finite" if not math.isfinite(value)
+                else "must be > 0" if top is None else f"must be in (0, {top:g}]")
+        raise ValueError(f"{name} = {value} {rule}")
+
+
 @dataclass(frozen=True)
 class PipelineSpec:
     """Pipeline depth (cycles), initiation interval (cycles/element), clock."""
@@ -26,8 +42,9 @@ class PipelineSpec:
     clock_hz: float
 
     def __post_init__(self):
-        if self.depth < 1 or self.ii < 1 or self.clock_hz <= 0:
-            raise ValueError(f"invalid pipeline spec {self}")
+        check_count("depth", self.depth)
+        check_count("ii", self.ii)
+        check_positive("clock_hz", self.clock_hz)
 
 
 @dataclass(frozen=True)
@@ -46,8 +63,11 @@ class MemoryModel:
     arrays_per_xstep: int = 6
 
     def __post_init__(self):
-        if self.eff_bandwidth_1 <= 0 or not 0 < self.contention <= 1 or self.arrays_per_xstep <= 0:
-            raise ValueError(f"invalid memory model {self}")
+        check_positive("eff_bandwidth_1", self.eff_bandwidth_1)
+        # bandwidth with g engines on a controller is eff_bandwidth_1 * contention**(g-1):
+        # a derating, so it may not grow with g nor reach zero
+        check_positive("contention", self.contention, top=1)
+        check_count("arrays_per_xstep", self.arrays_per_xstep)
 
 
 @dataclass(frozen=True)
@@ -133,6 +153,16 @@ def gflops(cells: float, profile: FlopProfile, seconds: float) -> float:
     return cells * profile.total_per_cell / seconds / 1e9
 
 
+def check_observation(dims: GridDims, engines, seconds) -> None:
+    """The rule for one calibration observation: an int engine count the
+    grid can place (check_config) and a finite time > 0; raises ValueError."""
+    if type(engines) is not int:
+        raise ValueError(f"engines = {engines!r} is not an integer")
+    if not 0 < seconds < math.inf:
+        raise ValueError(f"seconds = {seconds!r} must be finite and > 0")
+    check_config(dims, engines, 1)
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     model: MemoryModel
@@ -143,12 +173,12 @@ def calibrate(observations, spec: PipelineSpec, y_batch: int,
               controllers: int = 2, base: MemoryModel | None = None) -> CalibrationResult:
     """Fit (eff_bandwidth_1, contention) to observed kernel times.
 
-    observations: iterable of (dims, engines, seconds). Each observation
-    pins the memory-phase rate bw * contention^(g-1) once the modeled
-    compute time is subtracted; the fit is least squares in log space
-    (first-order relative error). Needs observations spanning at least two
-    controller group sizes, otherwise the system is singular, and a fitted
-    contention of at most 1.
+    observations: iterable of (dims, engines, seconds), each held to
+    check_observation. Each observation pins the memory-phase rate
+    bw * contention^(g-1) once the modeled compute time is subtracted;
+    the fit is least squares in log space (first-order relative error).
+    Needs observations spanning at least two controller group sizes,
+    otherwise the system is singular, and a fitted contention of at most 1.
     """
     base = base or MemoryModel(eff_bandwidth_1=1.0)
     obs = list(observations)
@@ -156,6 +186,7 @@ def calibrate(observations, spec: PipelineSpec, y_batch: int,
         raise ValueError("need at least two observations")
     rows, rhs = [], []
     for dims, engines, seconds in obs:
+        check_observation(dims, engines, seconds)
         share, group, compute = _slowest_engine(dims, spec, y_batch, engines, controllers)
         mem_seconds = seconds - compute
         if mem_seconds <= 0:

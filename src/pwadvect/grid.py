@@ -27,13 +27,15 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class GridDims:
-    """Interior extents, nx, ny >= 1 and nz >= 2 (else GridError); the halo is 1 wide."""
+    """Interior int extents, nx, ny >= 1 and nz >= 2 (else GridError); the halo is 1 wide."""
 
     nx: int
     ny: int
     nz: int
 
     def __post_init__(self):
+        if not type(self.nx) is type(self.ny) is type(self.nz) is int:
+            raise GridError(f"extents must be integers, got {self.nx!r}x{self.ny!r}x{self.nz!r}")
         if self.nx < 1 or self.ny < 1:
             raise GridError(f"horizontal extents must be >= 1, got {self.nx}x{self.ny}")
         if self.nz < 2:

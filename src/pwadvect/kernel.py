@@ -45,6 +45,8 @@ class AdvectionCoefficients:
             raise ValueError("tzc1/tzc2 must be 1-D arrays of equal length")
         if not (np.isfinite(self.tzc1).all() and np.isfinite(self.tzc2).all()):
             raise ValueError("vertical coefficients must be finite")
+        if not (np.isfinite(self.tcx) and np.isfinite(self.tcy)):
+            raise ValueError("horizontal coefficients must be finite")
 
     @property
     def nz(self) -> int:

@@ -5,18 +5,20 @@ The shipped defaults live both here and, with provenance comments, in
 ``model-defaults.params`` next to this module; a test keeps the two in sync.
 Files use one ``section.key = value`` pair per line, ``#`` comments; the
 keys are derived from the bundle's dataclass fields, and unknown keys are
-rejected so typos can't silently fall back to defaults. The
+rejected so typos can't silently fall back to defaults. This module only
+parses a file and overlays it on the defaults: each value's legal range is
+checked by the type that holds it (`PipelineSpec`, `MemoryModel`,
+`DmaConfig`, `ModelParams`), for a file and a Python caller alike. The
 ``PWADVECT_PARAMS`` environment variable names a default parameter file.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .dataflow import MemoryModel, PipelineSpec
+from .dataflow import MemoryModel, PipelineSpec, check_count
 from .kernel import FlopProfile
 from .refdata import TUNED_PIPE
 from .transfer import DmaConfig
@@ -46,49 +48,42 @@ class ModelParams:
     controllers: int = 2
     dma: DmaConfig = field(default_factory=DmaConfig)
 
+    def __post_init__(self):
+        check_count("y_batch", self.y_batch)
+        check_count("controllers", self.controllers)
+
     @property
     def flops(self) -> FlopProfile:  # the published op credit: a fact, not a parameter
         return _FLOPS
 
 
 class ParamError(ValueError):
-    """Malformed parameter file or unknown key."""
+    """Malformed parameter file, unknown key or out-of-range value."""
 
 
 def _items(p: ModelParams):
-    """(key, path, value) for every parameter of a bundle, in file order.
-
-    A path is ("y_batch",) for a ModelParams scalar or ("pipeline", "depth")
-    for a section field.
-    """
+    """(key, value) for every parameter of a bundle, in file order."""
     for top in fields(p):
         section = getattr(p, top.name)
         if not is_dataclass(section):
-            yield f"model.{top.name}", (top.name,), section
+            yield f"model.{top.name}", section
             continue
         for sub in fields(section):
-            yield f"{top.name}.{sub.name}", (top.name, sub.name), getattr(section, sub.name)
+            yield f"{top.name}.{sub.name}", getattr(section, sub.name)
 
 
-def _assemble(kv: dict[str, float]) -> ModelParams:
-    tree = {}
-    for key, path in _PATHS.items():
-        node = tree
-        for step in path[:-1]:
-            node = node.setdefault(step, {})
-        node[path[-1]] = kv[key]
-    for name, cls in _SECTIONS.items():
-        tree[name] = cls(**tree[name])
-    return ModelParams(**tree)
+def _with(p: ModelParams, key: str, value) -> ModelParams:
+    """`p` with one key set; the type that holds the value checks it."""
+    section, _, name = key.partition(".")
+    if section == "model":
+        return replace(p, **{name: value})
+    return replace(p, **{section: replace(getattr(p, section), **{name: value})})
 
 
 # Derived once at import, not per call: load_params runs on every CLI call.
 _DEFAULT = ModelParams()
-_PATHS = {key: path for key, path, _ in _items(_DEFAULT)}
-_SECTIONS = {path[0]: type(getattr(_DEFAULT, path[0])) for path in _PATHS.values() if len(path) > 1}
-_DEFAULT_KV = {key: value for key, _, value in _items(_DEFAULT)}
-KNOWN_KEYS = frozenset(_PATHS)
-_INT_KEYS = frozenset(k for k, v in _DEFAULT_KV.items() if isinstance(v, int))
+_KEY_TYPES = {key: type(value) for key, value in _items(_DEFAULT)}  # int or float
+KNOWN_KEYS = frozenset(_KEY_TYPES)
 
 
 def parse_params_text(text: str, source: str = "<string>") -> dict[str, float]:
@@ -103,27 +98,16 @@ def parse_params_text(text: str, source: str = "<string>") -> dict[str, float]:
         if key not in KNOWN_KEYS:
             raise ParamError(f"{source}:{lineno}: unknown parameter key {key!r}")
         try:
-            kv[key] = int(value) if key in _INT_KEYS else float(value)
+            kv[key] = _KEY_TYPES[key](value)
         except ValueError as exc:
             raise ParamError(f"{source}:{lineno}: bad value for {key}: {value!r}") from exc
-        problem = _range_problem(key, kv[key])
-        if problem:
-            raise ParamError(f"{source}:{lineno}: {key} = {value} {problem}")
+        try:
+            _with(_DEFAULT, key, kv[key])
+        except ValueError as exc:
+            # the type says "<field> = <value> <rule>": keep its rule, and the file's value
+            rule = str(exc).split(" ", 3)[3]
+            raise ParamError(f"{source}:{lineno}: {key} = {value} {rule}") from exc
     return kv
-
-
-def _range_problem(key: str, value) -> str | None:
-    """Why a value is out of range for its key, or None if it is in range."""
-    if key in _INT_KEYS:  # depths, cycle counts, array/controller/op counts
-        return "must be >= 1" if value < 1 else None
-    if not math.isfinite(value):
-        return "must be finite"
-    if key == "memory.contention":
-        # bandwidth with g engines on a controller is eff_bandwidth_1 * contention**(g-1):
-        # a derating, so it may not grow with g nor reach zero
-        return None if 0 < value <= 1 else "must be in (0, 1]"
-    # every other float is a clock (Hz) or a bandwidth (bytes/s)
-    return "must be > 0" if value <= 0 else None
 
 
 def load_params(path: str | os.PathLike | None = None) -> ModelParams:
@@ -133,17 +117,17 @@ def load_params(path: str | os.PathLike | None = None) -> ModelParams:
     """
     if path is None:
         path = os.environ.get(ENV_VAR) or None
-    kv = dict(_DEFAULT_KV)
+    p = ModelParams()
     if path is not None:
-        text = Path(path).read_text()
-        kv.update(parse_params_text(text, source=str(path)))
-    return _assemble(kv)
+        for key, value in parse_params_text(Path(path).read_text(), source=str(path)).items():
+            p = _with(p, key, value)
+    return p
 
 
 def dump_params(p: ModelParams) -> str:
     """Render a bundle in the parameter-file format."""
     return "# pwadvect model parameters\n" + "".join(
-        f"{key} = {value!r}\n" for key, _, value in _items(p))
+        f"{key} = {value!r}\n" for key, value in _items(p))
 
 
 def default_params_path() -> Path:

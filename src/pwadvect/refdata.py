@@ -59,32 +59,33 @@ class LadderRow:
         return self.pipe is not None
 
 
-def _row(label, measured_ms, **regime):
-    return LadderRow(label, f"kernel optimisation ladder row: {label!r}",
-                     measured_ms, **regime)
+def _ladder(*steps) -> tuple[LadderRow, ...]:
+    """Rows from (label, measured_ms, changes) steps: each row's regime is
+    the one before with that step's `changes` applied."""
+    rows, regime = [], {}
+    for label, measured_ms, changes in steps:
+        regime = {**regime, **changes}
+        rows.append(LadderRow(label, f"kernel optimisation ladder row: {label!r}",
+                              measured_ms, **regime))
+    return tuple(rows)
 
 
-# The pre-pipeline rows (CPU reference, initial port) have no dataflow
-# regime to model; they are shipped for display only.
-OPTIMISATION_LADDER: tuple[LadderRow, ...] = (
-    _row("Reference on CPU (1 core)", 676.4),
-    _row("Initial port", 51498.0),
-    _row("Pipeline directive on inner loop", 14130.0,
-         pipe=COLUMN_PIPE, y_batch=1, planes=57, access_efficiency=0.31),
-    _row("Local BRAM for column data", 3213.2,
-         pipe=COLUMN_PIPE, y_batch=1, planes=12, access_efficiency=0.31),
-    _row("Local BRAM batches columns in Y", 1513.2,
-         pipe=BATCHED_PIPE, y_batch=64, planes=12, access_efficiency=0.50),
-    _row("Extract all variables", 1301.6,
-         pipe=EXTRACTED_PIPE, y_batch=64, planes=12, access_efficiency=0.50),
-    _row("Burst mode on port", 1097.2,
-         pipe=EXTRACTED_PIPE, y_batch=64, planes=12, access_efficiency=0.90),
-    _row("Re-order X and Y loops", 621.3,
-         pipe=EXTRACTED_PIPE, y_batch=64, planes=6, access_efficiency=0.90),
-    _row("Replace memcpy with explicit loops", 568.1,
-         pipe=EXTRACTED_PIPE, y_batch=64, planes=6, access_efficiency=1.0),
-    _row("Tune double precision cores and clock to 310Mhz", 514.9,
-         pipe=TUNED_PIPE, y_batch=64, planes=6, access_efficiency=1.0),
+# Each row states only what its optimisation changes. The pre-pipeline rows
+# (CPU reference, initial port) have no dataflow regime to model; they are
+# shipped for display only.
+OPTIMISATION_LADDER = _ladder(
+    ("Reference on CPU (1 core)", 676.4, {}),
+    ("Initial port", 51498.0, {}),
+    ("Pipeline directive on inner loop", 14130.0,
+     dict(pipe=COLUMN_PIPE, y_batch=1, planes=57, access_efficiency=0.31)),
+    ("Local BRAM for column data", 3213.2, dict(planes=12)),
+    ("Local BRAM batches columns in Y", 1513.2,
+     dict(pipe=BATCHED_PIPE, y_batch=64, access_efficiency=0.50)),
+    ("Extract all variables", 1301.6, dict(pipe=EXTRACTED_PIPE)),
+    ("Burst mode on port", 1097.2, dict(access_efficiency=0.90)),
+    ("Re-order X and Y loops", 621.3, dict(planes=6)),
+    ("Replace memcpy with explicit loops", 568.1, dict(access_efficiency=1.0)),
+    ("Tune double precision cores and clock to 310Mhz", 514.9, dict(pipe=TUNED_PIPE)),
 )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .grid import GridDims
 from .kernel import FlopProfile
-from .dataflow import MemoryModel, PipelineSpec, gflops, kernel_time
+from .dataflow import MemoryModel, PipelineSpec, check_positive, gflops, kernel_time
 from .refdata import DMA_TABLE, DMA_TABLE_BYTES
 
 # Bytes/s of each interconnect wiring of the measured card, from its
@@ -31,8 +31,7 @@ class DmaConfig:
     end_to_end_bandwidth: float = 5.85e9  # decimal GB convention
 
     def __post_init__(self):
-        if self.end_to_end_bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        check_positive("end_to_end_bandwidth", self.end_to_end_bandwidth)
 
 
 def transfer_volume(dims: GridDims, direction: str = "both") -> int:

@@ -9,6 +9,7 @@ from pwadvect.dataflow import (
     PipelineSpec,
     _slowest_engine,
     calibrate,
+    check_observation,
     gflops,
     kernel_compute_cycles,
     kernel_memory_bytes,
@@ -199,6 +200,20 @@ def test_calibrate_rejects_observation_faster_than_compute():
     for seconds in (compute, compute / 2):
         with pytest.raises(ValueError, match="faster than modeled compute alone"):
             calibrate([(dims, 1, seconds), (dims, 4, 1.0)], pipe, 64)
+
+
+@pytest.mark.parametrize("engines, seconds, message", [
+    (1, math.nan, "must be finite and > 0"), (1, math.inf, "must be finite and > 0"),
+    (1, 0.0, "must be finite and > 0"), (1, -1.0, "must be finite and > 0"),
+    (1.0, 0.5149, "not an integer"), (True, 0.5149, "not an integer"),
+    (0, 0.5149, "engines must be in"), (513, 0.5149, "engines must be in"),
+])
+def test_calibrate_rejects_observations_no_run_can_have(engines, seconds, message):
+    obs = [(GRID_LADDER, engines, seconds), (GRID_LARGEST, 12, 0.99)]
+    with pytest.raises(ValueError, match=message):
+        check_observation(*obs[0])
+    with pytest.raises(ValueError, match=message):
+        calibrate(obs, PARAMS.pipeline, 64)
 
 
 def test_kernel_time_rejects_no_controllers():

@@ -40,7 +40,9 @@ def test_make_grid_cell_counts():
     assert GridDims(1, 1, 2).cells == 2                  # minimum legal grid
 
 
-@pytest.mark.parametrize("bad", [(0, 4, 4), (4, 0, 4), (4, 4, 1), (4, 4, 0), (-1, 4, 4)])
+@pytest.mark.parametrize("bad", [(0, 4, 4), (4, 0, 4), (4, 4, 1), (4, 4, 0), (-1, 4, 4),
+                                 (2.5, 4, 4), (float("nan"), 4, 4), (4, float("inf"), 4),
+                                 (4, 4, 4.0), (True, 4, 4)])
 def test_make_grid_rejects(bad):
     with pytest.raises(GridError):
         GridDims(*bad)

@@ -210,6 +210,12 @@ def test_coefficients_reject_bad_vertical_arrays(tzc1, tzc2, message):
         AdvectionCoefficients(0.25, 0.25, tzc1, tzc2)
 
 
+@pytest.mark.parametrize("tcx, tcy", [(np.nan, 0.25), (0.25, np.inf), (-np.inf, np.nan)])
+def test_coefficients_reject_non_finite_horizontal_scalars(tcx, tcy):
+    with pytest.raises(ValueError, match="horizontal coefficients must be finite"):
+        AdvectionCoefficients(tcx, tcy, np.ones(4), np.ones(4))
+
+
 def test_run_reference_rejects_mismatched_coefficients():
     dims = GridDims(3, 3, 4)
     fields = fill_fields(dims, GeneratorSpec.uniform(1, 1, 1))

@@ -1,8 +1,12 @@
+import math
+import re
+from dataclasses import is_dataclass, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwadvect import params
+from pwadvect.dataflow import MemoryModel, PipelineSpec
 from pwadvect.params import (
     ENV_VAR,
     KNOWN_KEYS,
@@ -14,7 +18,7 @@ from pwadvect.params import (
     parse_params_text,
 )
 from pwadvect.refdata import GRID_STRATUS
-from pwadvect.transfer import end_to_end
+from pwadvect.transfer import DmaConfig, end_to_end
 
 
 def test_defaults_without_file():
@@ -34,7 +38,7 @@ def test_shipped_file_matches_builtin_defaults():
 
 @pytest.mark.parametrize("key", sorted(KNOWN_KEYS))
 def test_every_key_reaches_a_result(key, tmp_path):
-    value = params._DEFAULT_KV[key]
+    value = parse_params_text(dump_params(ModelParams()))[key]
     f = tmp_path / "perturbed.params"
     f.write_text(f"{key} = {value + 1 if isinstance(value, int) else value * 0.5!r}\n")
 
@@ -131,6 +135,19 @@ def test_range_limits_accepted():
                   "pipeline.clock_hz": 1e-3}
 
 
+def _constructors_accept(key: str, value) -> bool:
+    """Whether the type that holds `key` takes `value` in place of its default."""
+    section, name = key.split(".")
+    try:
+        if section == "model":
+            ModelParams(**{name: value})
+        else:
+            replace(getattr(ModelParams(), section), **{name: value})
+    except ValueError:
+        return False
+    return True
+
+
 _VALUES = st.one_of(st.text(max_size=8), st.integers().map(str), st.floats().map(repr))
 _LINES = st.one_of(
     st.text(max_size=30),
@@ -147,4 +164,39 @@ def test_any_params_text_parses_or_raises_param_error(text):
     except ParamError:
         return
     # whatever the parser accepts, the model's own constructors accept too
-    params._assemble({**params._DEFAULT_KV, **kv})
+    assert all(_constructors_accept(key, value) for key, value in kv.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(KNOWN_KEYS)),  # ints a float key reads exactly
+       st.one_of(st.integers(-3, 3), st.integers(-2**53, 2**53), st.floats(-2, 2), st.floats()))
+def test_parser_accepts_a_value_exactly_when_its_type_does(key, value):
+    try:
+        kv = parse_params_text(f"{key} = {value!r}")
+    except ParamError:
+        accepted = False
+    else:
+        accepted = True
+        assert kv == {key: value}
+    assert accepted == _constructors_accept(key, value)
+
+
+# One legal value per field, and values every field of that kind rejects:
+# NaN, +-inf, zero and negatives, and non-integral counts.
+_COUNTS = [(PipelineSpec(72, 1, 3e8), "depth"), (PipelineSpec(72, 1, 3e8), "ii"),
+           (MemoryModel(1e9), "arrays_per_xstep"), (ModelParams(), "y_batch"),
+           (ModelParams(), "controllers")]
+_RATES = [(PipelineSpec(72, 1, 3e8), "clock_hz"), (MemoryModel(1e9), "eff_bandwidth_1"),
+          (MemoryModel(1e9), "contention"), (DmaConfig(), "end_to_end_bandwidth")]
+_NOT_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("owner, name, bad", [
+    *((owner, name, bad) for owner, name in _COUNTS
+      for bad in (*_NOT_FINITE, 0, -3, 72.5, 2.0, True)),
+    *((owner, name, bad) for owner, name in _RATES for bad in (*_NOT_FINITE, 0, 0.0, -1.5)),
+    (MemoryModel(1e9), "contention", 1.0000001),
+], ids=lambda v: type(v).__name__ if is_dataclass(v) else None)
+def test_each_type_rejects_out_of_range_fields(owner, name, bad):
+    with pytest.raises(ValueError, match=rf"^{name} = {re.escape(str(bad))} must be "):
+        replace(owner, **{name: bad})
