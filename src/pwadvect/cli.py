@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataflow import calibrate, check_observation, kernel_time, pipeline_cycles, pipeline_latency
-from .grid import GeneratorSpec, GridDims, check_config, checksums, fill_fields
+from .grid import GeneratorSpec, GridDims, check_config, check_count, checksums, fill_fields
 from .kernel import default_coefficients, evaluator
 from .params import ModelParams, ParamError, dump_params, load_params
 from .refdata import (
@@ -144,9 +144,8 @@ def _model_row(p: ModelParams, dims, engines: int) -> dict:
 # -- bench -------------------------------------------------------------------
 
 def cmd_bench(args, parser) -> int:
-    if args.reps < 1:
-        parser.error("--reps must be >= 1")
     with _usage_errors(parser):
+        check_count("--reps", args.reps)
         dims = _resolve_dims(args, parser)
     gen = {"uniform": GeneratorSpec.uniform(1.0, 1.1, 0.9),
            "trig": GeneratorSpec.trig(),

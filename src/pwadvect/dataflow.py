@@ -3,7 +3,8 @@
 Pipeline fill/drain arithmetic, clock retiming, batched compute cycles and a
 two-parameter SDRAM phase model (effective bandwidth + per-engine contention
 on a shared controller), serialized with compute. Forms and calibration are
-derived in docs/model-notes.md section 4.
+derived in docs/model-notes.md section 4. Checks run per configuration
+test their `grid` rule's condition inline and call the rule only to raise.
 """
 
 from __future__ import annotations
@@ -13,24 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridDims, check_config
+from .grid import GridDims, check_config, check_count, check_positive
 from .kernel import FlopProfile
-
-
-def check_count(name: str, value) -> None:
-    """A count field: an int >= 1. ValueError "<name> = <value> <rule>"."""
-    if type(value) is not int or value < 1:
-        rule = "must be >= 1" if type(value) is int else "must be an integer"
-        raise ValueError(f"{name} = {value} {rule}")
-
-
-def check_positive(name: str, value, top: float | None = None) -> None:
-    """A float field: finite and > 0, and at most `top` if one is given.
-    ValueError "<name> = <value> <rule>"."""
-    if not 0 < value < math.inf or (top is not None and value > top):
-        rule = ("must be finite" if not math.isfinite(value)
-                else "must be > 0" if top is None else f"must be in (0, {top:g}]")
-        raise ValueError(f"{name} = {value} {rule}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +70,8 @@ def pipeline_cycles(spec: PipelineSpec, n_elements: int) -> CycleReport:
     total = depth + ii*n; the pipeline is counted fully utilised outside one
     fill and one drain interval: full = max(0, total - 2*depth).
     """
-    if n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
+    if type(n_elements) is not int or n_elements < 1:
+        check_count("n_elements", n_elements)
     total = spec.depth + spec.ii * n_elements
     full = max(0, total - 2 * spec.depth)
     return CycleReport(total, spec.depth, spec.depth, full, full / total)
@@ -103,7 +88,8 @@ def kernel_compute_cycles(dims: GridDims, spec: PipelineSpec, y_batch: int) -> i
     Nominal accounting: every batch is charged at the full y_batch*nz element
     count (the functional kernel's inner trip count is nz-1; see notes).
     """
-    check_config(dims, 1, y_batch)
+    if type(y_batch) is not int or not 1 <= y_batch <= dims.ny:
+        check_config(dims, 1, y_batch)
     runs = dims.nx * math.ceil(dims.ny / y_batch)
     return runs * pipeline_cycles(spec, y_batch * dims.nz).total_cycles
 
@@ -127,8 +113,8 @@ def _slowest_engine(dims: GridDims, spec: PipelineSpec, y_batch: int, engines: i
     controller group, the most crowded of ceil(engines / controllers)
     engines; and its compute seconds. ValueError for an illegal configuration."""
     check_config(dims, engines, y_batch)
-    if controllers < 1:
-        raise ValueError("controllers must be >= 1")
+    if type(controllers) is not int or controllers < 1:
+        check_count("controllers", controllers)
     share = GridDims(math.ceil(dims.nx / engines), dims.ny, dims.nz)
     compute = kernel_compute_cycles(share, spec, y_batch) / spec.clock_hz
     return share, math.ceil(engines / controllers), compute
@@ -148,18 +134,14 @@ def kernel_time(dims: GridDims, spec: PipelineSpec, mem: MemoryModel,
 
 def gflops(cells: float, profile: FlopProfile, seconds: float) -> float:
     """Accounted GFLOP/s: cells x per-cell credit / seconds."""
-    if seconds <= 0:
-        raise ValueError("seconds must be positive")
+    if not 0 < seconds < math.inf:
+        check_positive("seconds", seconds)
     return cells * profile.total_per_cell / seconds / 1e9
 
 
 def check_observation(dims: GridDims, engines, seconds) -> None:
-    """The rule for one calibration observation: an int engine count the
-    grid can place (check_config) and a finite time > 0; raises ValueError."""
-    if type(engines) is not int:
-        raise ValueError(f"engines = {engines!r} is not an integer")
-    if not 0 < seconds < math.inf:
-        raise ValueError(f"seconds = {seconds!r} must be finite and > 0")
+    """One calibration observation's rule: check_config's engines, check_positive's seconds."""
+    check_positive("seconds", seconds)
     check_config(dims, engines, 1)
 
 

@@ -1,4 +1,4 @@
-"""Halo-padded 3D wind-field grids: layout, generation, checksums.
+"""Halo-padded 3D wind-field grids: layout, generation, checksums, and the shared value rules.
 
 Interior cells are 1-based (i in 1..nx, j in 1..ny, k in 1..nz) with a
 periodic halo of width 1 in X and Y. Storage is k-fastest: a Field3D wraps
@@ -9,6 +9,7 @@ contiguous and ``array[i, j, k-1]`` is cell (i, j, k).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,22 +55,38 @@ class GridDims:
         return (self.nx + 2) * (self.ny + 2) * self.nz
 
 
-# The old name of the constructor, which the benchmark scripts under
-# perfbench/ still import.
+# The constructor's old name, which the benchmark scripts under perfbench/ still import.
 make_grid = GridDims
+
+
+def check_count(name: str, value) -> None:
+    """A count field: an int >= 1. ValueError "<name> = <value> <rule>"."""
+    if type(value) is not int or value < 1:
+        rule = "must be >= 1" if type(value) is int else "must be an integer"
+        raise ValueError(f"{name} = {value} {rule}")
+
+
+def check_positive(name: str, value, top: float | None = None) -> None:
+    """A float field: finite and > 0, and at most `top` if one is given.
+    ValueError "<name> = <value> <rule>"."""
+    if not 0 < value < math.inf or (top is not None and value > top):
+        rule = ("must be finite" if not math.isfinite(value)
+                else "must be > 0" if top is None else f"must be in (0, {top:g}]")
+        raise ValueError(f"{name} = {value} {rule}")
 
 
 def check_config(dims: GridDims, engines: int, y_batch: int, batched: bool = True) -> None:
     """The legality rule of the schedules and the model; raises ValueError.
 
-    Every engine owns at least one X column, and a Y batch holds 1..ny rows
-    (any count >= 1 when `batched` is False: a schedule that never splits Y).
+    `engines` and `y_batch` are counts (check_count). Every engine owns at least one
+    X column, and a Y batch holds 1..ny rows (any count if Y is never split: not `batched`).
     """
+    if type(engines) is not int:
+        check_count("engines", engines)
     if not 1 <= engines <= dims.nx:
         raise ValueError(f"engines must be in 1..nx={dims.nx}, got {engines}")
-    if y_batch < 1:
-        raise ValueError(f"y_batch must be >= 1, got {y_batch}")
-    if batched and y_batch > dims.ny:
+    if type(y_batch) is not int or y_batch < 1 or batched and y_batch > dims.ny:
+        check_count("y_batch", y_batch)
         raise ValueError(f"y_batch must be in 1..ny={dims.ny}, got {y_batch}")
 
 

@@ -506,7 +506,7 @@ def _checked_copies(copies, phases: int, steps: int, n1: int, rows: int) -> tupl
                 and src.shape[1] >= len(dst) + rows - n1):
             raise ValueError(f"copy source: need float64 planes of {len(dst) + rows - n1}+ rows "
                              f"of shape {dst.shape[1:]}, got {getattr(src, 'shape', None)}")
-        if not isinstance(dx, int):
+        if type(dx) is not int:
             raise ValueError(f"copy dx must be an int, got {dx!r}")
         # steps 0 .. steps - 1 read source planes dx .. dx + steps - 1
         if steps and not 0 <= dx <= len(src) - steps:
@@ -559,7 +559,7 @@ def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: in
     phases = [_checked_arrays(coeffs, roles, out) for roles in phases]
     if len({arrays[0].shape for arrays in phases}) != 1:
         raise ValueError("need at least one phase of roles, every phase of one shape")
-    if not (isinstance(lag, int) and lag >= 0):
+    if not (type(lag) is int and lag >= 0):
         raise ValueError(f"lag must be an int >= 0, got {lag!r}")
     (n0, n1, nz), rows = phases[0][0].shape, out[0].shape[1]
     steps = n0 + lag

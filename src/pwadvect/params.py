@@ -8,7 +8,8 @@ keys are derived from the bundle's dataclass fields, and unknown keys are
 rejected so typos can't silently fall back to defaults. This module only
 parses a file and overlays it on the defaults: each value's legal range is
 checked by the type that holds it (`PipelineSpec`, `MemoryModel`,
-`DmaConfig`, `ModelParams`), for a file and a Python caller alike. The
+`DmaConfig`, `ModelParams`) with `grid`'s rules for counts and for times
+and rates, for a file and a Python caller alike. The
 ``PWADVECT_PARAMS`` environment variable names a default parameter file.
 """
 
@@ -18,7 +19,8 @@ import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .dataflow import MemoryModel, PipelineSpec, check_count
+from .dataflow import MemoryModel, PipelineSpec
+from .grid import check_count
 from .kernel import FlopProfile
 from .refdata import TUNED_PIPE
 from .transfer import DmaConfig

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .grid import GridDims
+from .grid import GridDims, check_positive
 from .kernel import FlopProfile
-from .dataflow import MemoryModel, PipelineSpec, check_positive, gflops, kernel_time
+from .dataflow import MemoryModel, PipelineSpec, gflops, kernel_time
 from .refdata import DMA_TABLE, DMA_TABLE_BYTES
 
 # Bytes/s of each interconnect wiring of the measured card, from its
@@ -43,9 +43,9 @@ def transfer_volume(dims: GridDims, direction: str = "both") -> int:
 
 
 def dma_time(nbytes: float, config: DmaConfig, topology: str = "split_banks_4ch") -> float:
-    """Seconds to move nbytes; topology may also be "end_to_end"."""
-    if nbytes < 0:
-        raise ValueError("byte count must be >= 0")
+    """Seconds to move nbytes, finite and >= 0; topology may also be "end_to_end"."""
+    if not 0 <= nbytes < math.inf:
+        raise ValueError(f"nbytes = {nbytes} must be finite and >= 0")
     if topology == "end_to_end":
         return nbytes / config.end_to_end_bandwidth
     if topology not in _TOPOLOGY_RATES:

@@ -319,7 +319,12 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
             raise MemoryError("Unable to allocate 1.00 TiB")
         m.setattr(cli, "fill_fields", no_memory)
         assert run_cli("bench", "--grid", "8x8x8") == 2
-    assert run_cli("bench", "--grid", "4x4x4", "--reps", "0") == 2
+        # --reps is a count, checked before any field is generated
+        m.setattr(cli, "fill_fields", lambda dims, spec: pytest.fail("fields generated"))
+        capsys.readouterr()
+        for reps in ("0", "-3"):
+            assert run_cli("bench", "--grid", "4x4x4", "--reps", reps) == 2
+            assert f"--reps = {reps} must be >= 1" in capsys.readouterr().err
     assert run_cli("frobnicate") == 2
     # impossible model configurations: cell counts, engine counts, y_batch > ny
     for cells in ("-5", "nan", "inf", "1e4"):

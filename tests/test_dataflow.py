@@ -203,9 +203,9 @@ def test_calibrate_rejects_observation_faster_than_compute():
 
 
 @pytest.mark.parametrize("engines, seconds, message", [
-    (1, math.nan, "must be finite and > 0"), (1, math.inf, "must be finite and > 0"),
-    (1, 0.0, "must be finite and > 0"), (1, -1.0, "must be finite and > 0"),
-    (1.0, 0.5149, "not an integer"), (True, 0.5149, "not an integer"),
+    (1, math.nan, "must be finite"), (1, math.inf, "must be finite"),
+    (1, 0.0, "must be > 0"), (1, -1.0, "must be > 0"),
+    (1.0, 0.5149, "must be an integer"), (True, 0.5149, "must be an integer"),
     (0, 0.5149, "engines must be in"), (513, 0.5149, "engines must be in"),
 ])
 def test_calibrate_rejects_observations_no_run_can_have(engines, seconds, message):
@@ -217,11 +217,15 @@ def test_calibrate_rejects_observations_no_run_can_have(engines, seconds, messag
 
 
 def test_kernel_time_rejects_no_controllers():
-    with pytest.raises(ValueError, match="controllers must be >= 1"):
-        kernel_time(GRID_LADDER, PARAMS.pipeline, PARAMS.memory, 64, engines=1, controllers=0)
+    # 12 engines: a fractional controller count would crowd ceil(12 / 1.5) = 8
+    for controllers, rule in ((0, "must be >= 1"), (1.5, "must be an integer"),
+                              (True, "must be an integer")):
+        with pytest.raises(ValueError, match=f"^controllers = {controllers} {rule}$"):
+            kernel_time(GRID_LARGEST, PARAMS.pipeline, PARAMS.memory, 64, engines=12,
+                        controllers=controllers)
     # calibrate places its observations by the same rule
     obs = [(GRID_LADDER, 1, 0.5149), (GRID_LARGEST, 12, 0.99)]
-    with pytest.raises(ValueError, match="controllers must be >= 1"):
+    with pytest.raises(ValueError, match="controllers = 0 must be >= 1"):
         calibrate(obs, PARAMS.pipeline, 64, controllers=0)
 
 
@@ -229,8 +233,10 @@ def test_gflops_examples():
     assert gflops(268.3e6, FlopProfile(), 0.990) == pytest.approx(14.36, abs=0.1)
     assert gflops(268.3e6, FlopProfile(), 3.386) == pytest.approx(4.2, abs=0.1)
     assert gflops(1, FlopProfile(0, 1), 1.0) == 1e-9
-    with pytest.raises(ValueError):
-        gflops(1e6, FlopProfile(), 0.0)
+    for seconds, rule in ((0.0, "must be > 0"), (math.nan, "must be finite"),
+                          (math.inf, "must be finite")):
+        with pytest.raises(ValueError, match=f"^seconds = {seconds} {rule}$"):
+            gflops(1e6, FlopProfile(), seconds)
 
 
 def test_invalid_specs_rejected():
@@ -242,8 +248,10 @@ def test_invalid_specs_rejected():
         MemoryModel(eff_bandwidth_1=-1.0)
     with pytest.raises(ValueError):
         MemoryModel(eff_bandwidth_1=1.0, contention=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_elements = 0 must be >= 1$"):
         pipeline_cycles(PipelineSpec(2, 1, 1e8), 0)
+    with pytest.raises(ValueError, match="^n_elements = 2.5 must be an integer$"):
+        pipeline_cycles(PipelineSpec(2, 1, 1e8), 2.5)
 
 
 def test_ladder_rows_strictly_decreasing():

@@ -29,6 +29,7 @@ from pwadvect.grid import (
     zeros_field,
 )
 from pwadvect.params import ModelParams
+from pwadvect.schedules import ScheduleSpec, partition_domain
 from naive_oracle import naive_lcg_doubles
 
 GOLDENS = json.loads((Path(__file__).parent / "goldens.json").read_text())
@@ -381,10 +382,19 @@ def test_generator_spec_rejects_unknown_mode():
         GeneratorSpec("bogus")
 
 
-@settings(max_examples=200, deadline=None)
+def _counts(top):
+    """Counts near 1..top, any int, and what no count is: floats, integral
+    ones included, and bools."""
+    near = st.integers(-3, top)
+    return near | st.integers() | near.map(float) | st.floats() | st.booleans()
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(-2, 40), st.integers(-2, 80), st.integers(-2, 6),
-       st.integers(-3, 45) | st.integers(), st.integers(-3, 90) | st.integers(), st.booleans())
+       _counts(45), _counts(90), st.booleans())
 @example(4, 4, 1, 1, 4, True)  # a grid the kernel rejects, which the model used to time
+@example(4, 4, 2, 1.5, 4, True)  # a fractional engine count the model used to time
+@example(4, 4, 2, True, 2.0, False)  # a bool and an integral float
 def test_check_config_accepts_exactly_the_configurations_that_fit(nx, ny, nz, engines, y_batch,
                                                                   batched):
     def accepts(check):
@@ -395,9 +405,16 @@ def test_check_config_accepts_exactly_the_configurations_that_fit(nx, ny, nz, en
         return True
 
     accepted = accepts(lambda: check_config(GridDims(nx, ny, nz), engines, y_batch, batched))
-    # whole extents, no idle engine, no empty batch, and a batch of Y never wider than ny
-    assert accepted == (nx >= 1 and ny >= 1 and nz >= 2 and 1 <= engines <= nx
-                        and y_batch >= 1 and (not batched or y_batch <= ny))
+    # whole extents, int counts, no idle engine, no empty batch, and a batch
+    # of Y never wider than ny
+    assert accepted == (nx >= 1 and ny >= 1 and nz >= 2 and type(engines) is type(y_batch) is int
+                        and 1 <= engines <= nx and y_batch >= 1 and (not batched or y_batch <= ny))
+    # the schedules take exactly the same configurations, batched or not
+    variant = "y_batched" if batched else "reference"
+    assert accepts(lambda: ScheduleSpec(variant, y_batch, engines).validate(
+        GridDims(nx, ny, nz))) == accepted
+    assert accepts(lambda: partition_domain(GridDims(nx, ny, nz), engines)) == accepts(
+        lambda: check_config(GridDims(nx, ny, nz), engines, 1))
     if batched:  # the model batches Y and takes exactly the same configurations
         params = ModelParams()
         assert accepts(lambda: kernel_time(GridDims(nx, ny, nz), params.pipeline,

@@ -608,8 +608,8 @@ def _bad_block(case):
     roles = {role: np.ones((3, 4, nz)) for role in COMPUTE_ROLES}
     out = [np.zeros((3, 4, nz)) for _ in range(3)]
     coeffs = default_coefficients(nz)
-    # a lag of -1 would run rows 1 and 2; 1.0 is no int
-    lag = {"negative lag": -1, "non-int lag": 1.0}.get(case, 0)
+    # a lag of -1 would run rows 1 and 2; 1.0 and True are no int
+    lag = {"negative lag": -1, "non-int lag": 1.0, "bool lag": True}.get(case, 0)
     if case == "role shape":
         roles[("v", 0, 0)] = np.ones((3, 5, nz))
     elif case == "role dtype":
@@ -642,8 +642,8 @@ def _bad_block(case):
 @pytest.mark.parametrize("case", ["role shape", "role dtype", "role k-stride", "missing role",
                                   "coefficient nz", "read-only output", "output k-stride",
                                   "three leading axes", "one leading axis", "no leading axis",
-                                  "not an array", "negative lag", "non-int lag", "no phases",
-                                  "two outputs", "zero-row roles"])
+                                  "not an array", "negative lag", "non-int lag", "bool lag",
+                                  "no phases", "two outputs", "zero-row roles"])
 def test_compute_block_rejects_bad_arrays(case):
     coeffs, phases, out, lag = _bad_block(case)
     with pytest.raises(ValueError):
@@ -697,6 +697,8 @@ def _staged_block(case=None, batches=1.0):
         copies[0] = (rows[first], src[..., ::-1], 0)
     elif case == "non-int dx":
         copies[0] = (rows[first], src, 1.0)
+    elif case == "bool dx":  # in range as plane 1, but no int
+        copies[0] = (rows[first], src, True)
     elif case == "source short of the last batch":
         copies[0] = (rows[first], src[:, :-1], 0)
     elif case == "destination short of a batch":
@@ -708,7 +710,7 @@ def _staged_block(case=None, batches=1.0):
 @pytest.mark.parametrize("case", ["source past the end", "source before the start",
                                   "strided destination", "read-only destination",
                                   "source size", "strided source plane", "copies per phase",
-                                  "non-int dx", "source short of the last batch",
+                                  "non-int dx", "bool dx", "source short of the last batch",
                                   "destination short of a batch"])
 def test_staged_block_rejects_bad_copies(case):
     # Y batches of 4, 4 and 2 rows: the last batch reads the source furthest

@@ -41,8 +41,9 @@ def test_dma_table_reproduced_exactly():
     assert dma_time(0.0, cfg, "split_banks_4ch") == 0.0
     with pytest.raises(ValueError):
         dma_time(1.0, cfg, "imaginary_wiring")
-    with pytest.raises(ValueError):
-        dma_time(-1.0, cfg)
+    for nbytes in (-1.0, -math.inf, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^nbytes = {nbytes} must be finite and >= 0$"):
+            dma_time(nbytes, cfg)
 
 
 def test_dma_time_additive():
