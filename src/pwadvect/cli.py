@@ -1,4 +1,4 @@
-"""Command-line harness: bench, model, sweep, calibrate, validate.
+"""Command-line harness: bench, sweep (also named model), calibrate, validate.
 
 Exit codes: 0 success, 1 validation or benchmark failure, 2 usage error.
 Report files are CSV (frozen column order, header row) or JSON mirrors of
@@ -138,7 +138,7 @@ def _check_y_batch(p: ModelParams, dims) -> None:
 
 def _model_row(p: ModelParams, dims, engines: int) -> dict:
     _check_y_batch(p, dims)
-    return {**_report(p, dims, engines).as_row(), "nx": dims.nx, "ny": dims.ny, "nz": dims.nz}
+    return {**asdict(_report(p, dims, engines)), "nx": dims.nx, "ny": dims.ny, "nz": dims.nz}
 
 
 # -- bench -------------------------------------------------------------------
@@ -192,15 +192,7 @@ def cmd_bench(args, parser) -> int:
     return 1 if failures else 0
 
 
-# -- model / sweep -----------------------------------------------------------
-
-def cmd_model(args, parser) -> int:
-    p = _load(args, parser)
-    with _usage_errors(parser):
-        row = _model_row(p, _resolve_dims(args, parser), args.engines)
-        _write_rows([row], MODEL_COLUMNS, args.out, args.format)
-    return 0
-
+# -- sweep (also named model) -------------------------------------------------
 
 def _list_parser(cast):
     def parse(text: str) -> list:
@@ -369,11 +361,6 @@ def _add_output_args(sub):
                      help="format of the rows; default: CSV in --out FILE, else an aligned table")
 
 
-def _add_common_model_args(sub):
-    sub.add_argument("--params", metavar="FILE", help="parameter file (see model-defaults.params)")
-    _add_output_args(sub)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwadvect", description=__doc__,
@@ -394,21 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(bench)
     bench.set_defaults(func=cmd_bench)
 
-    model = subs.add_parser("model", help="predict kernel/DMA/total time for one configuration")
-    model.add_argument("--grid", type=_parse_grid, metavar="NXxNYxNZ")
-    model.add_argument("--cells", type=float)
-    model.add_argument("--engines", type=int, default=1)
-    _add_common_model_args(model)
-    model.set_defaults(func=cmd_model)
-
-    sweep = subs.add_parser("sweep", help="model a sweep over engine counts or grid sizes")
+    sweep = subs.add_parser("sweep", aliases=["model"],
+                            help="predict kernel/DMA/total time over engine counts or grid sizes")
     sweep.add_argument("--grid", type=_parse_grid, metavar="NXxNYxNZ")
     sweep.add_argument("--cells", type=float)
     sweep.add_argument("--engines", type=_list_parser(int), default=[1],
                        metavar="E1,E2,...", help="engine counts")
     sweep.add_argument("--cells-list", type=_list_parser(float), dest="cells_list",
                        metavar="N1,N2,...", help="grid-size sweep at one --engines count")
-    _add_common_model_args(sweep)
+    sweep.add_argument("--params", metavar="FILE",
+                       help="parameter file (see model-defaults.params)")
+    _add_output_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     cal = subs.add_parser("calibrate", help="fit bandwidth/contention to observed kernel times")

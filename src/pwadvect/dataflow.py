@@ -111,8 +111,9 @@ def _slowest_engine(dims: GridDims, spec: PipelineSpec, y_batch: int, engines: i
     """The slowest engine: its share of the grid, the widest X slab of
     ceil(nx / engines) columns as schedules.partition_domain cuts; its
     controller group, the most crowded of ceil(engines / controllers)
-    engines; and its compute seconds. ValueError for an illegal configuration."""
-    check_config(dims, engines, y_batch)
+    engines; and its compute seconds. ValueError for an illegal configuration:
+    engines here, y_batch in kernel_compute_cycles on the share (whose ny is dims.ny)."""
+    check_config(dims, engines, 1)
     if type(controllers) is not int or controllers < 1:
         check_count("controllers", controllers)
     share = GridDims(math.ceil(dims.nx / engines), dims.ny, dims.nz)

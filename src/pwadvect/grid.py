@@ -22,25 +22,22 @@ _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
 
-class GridError(ValueError):
-    """Invalid grid dimensions or mismatched fields."""
-
-
 @dataclass(frozen=True)
 class GridDims:
-    """Interior int extents, nx, ny >= 1 and nz >= 2 (else GridError); the halo is 1 wide."""
+    """Interior extents: counts (check_count), nz >= 2, else ValueError; the halo is 1 wide."""
 
     nx: int
     ny: int
     nz: int
 
     def __post_init__(self):
-        if not type(self.nx) is type(self.ny) is type(self.nz) is int:
-            raise GridError(f"extents must be integers, got {self.nx!r}x{self.ny!r}x{self.nz!r}")
-        if self.nx < 1 or self.ny < 1:
-            raise GridError(f"horizontal extents must be >= 1, got {self.nx}x{self.ny}")
-        if self.nz < 2:
-            raise GridError(f"nz must be >= 2 (column stencil starts at k=2), got {self.nz}")
+        if not (type(self.nx) is type(self.ny) is type(self.nz) is int
+                and self.nx >= 1 and self.ny >= 1 and self.nz >= 2):
+            check_count("nx", self.nx)
+            check_count("ny", self.ny)
+            if type(self.nz) is not int:
+                check_count("nz", self.nz)
+            raise ValueError(f"nz must be >= 2 (column stencil starts at k=2), got {self.nz}")
 
     @property
     def cells(self) -> int:
@@ -99,11 +96,11 @@ class Field3D:
 
     def __post_init__(self):
         if self.data.shape != self.dims.padded_shape:
-            raise GridError(
+            raise ValueError(
                 f"field shape {self.data.shape} != padded {self.dims.padded_shape}"
             )
         if self.data.dtype != np.float64:
-            raise GridError(f"fields are float64, got {self.data.dtype}")
+            raise ValueError(f"fields are float64, got {self.data.dtype}")
 
     @property
     def interior(self) -> np.ndarray:
@@ -128,7 +125,7 @@ class FieldSet:
 
     def __post_init__(self):
         if not (self.u.dims == self.v.dims == self.w.dims):
-            raise GridError("u, v, w must share one GridDims")
+            raise ValueError("u, v, w must share one GridDims")
 
     @property
     def dims(self) -> GridDims:
@@ -145,7 +142,7 @@ class SourceSet:
 
     def __post_init__(self):
         if not (self.su.dims == self.sv.dims == self.sw.dims):
-            raise GridError("su, sv, sw must share one GridDims")
+            raise ValueError("su, sv, sw must share one GridDims")
 
     @property
     def dims(self) -> GridDims:
@@ -172,7 +169,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.mode not in ("uniform", "trig", "random"):
-            raise GridError(f"unknown generator mode {self.mode!r}")
+            raise ValueError(f"unknown generator mode {self.mode!r}")
 
     @classmethod
     def uniform(cls, a: float, b: float, c: float) -> "GeneratorSpec":

@@ -9,7 +9,7 @@ Kernel and transfer phases are serialized (no overlap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .grid import GridDims, check_positive
 from .kernel import FlopProfile
@@ -21,7 +21,7 @@ from .refdata import DMA_TABLE, DMA_TABLE_BYTES
 _TOPOLOGY_RATES = {topo: DMA_TABLE_BYTES / ref.value for topo, ref in DMA_TABLE.items()}
 TOPOLOGIES = tuple(_TOPOLOGY_RATES)
 
-_DIRECTIONS = ("to_card", "from_card", "both")
+_DIRECTIONS = ("to_card", "both")
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class DmaConfig:
 
 
 def transfer_volume(dims: GridDims, direction: str = "both") -> int:
-    """Bytes moved between host and card for one kernel invocation."""
+    """Bytes moved between host and card for one kernel invocation: "to_card"
+    one way (the results return as many bytes), "both" the round trip."""
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}")
     one_way = 3 * dims.cells * 8
@@ -65,9 +66,6 @@ class ModelReport:
     gflops_kernel: float
     gflops_total: float
     dma_fraction: float
-
-    def as_row(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def end_to_end(dims: GridDims, engines: int, pipeline: PipelineSpec,
@@ -101,9 +99,11 @@ def scaling_table(dims: GridDims, engine_list, pipeline: PipelineSpec,
             for e in engine_list]
 
 
-def factor_cells(cells: float, nz: int = 64) -> GridDims:
-    """Cube-ish dims for a requested cell count: fixed nz, ny a power of two
-    near sqrt(cells/nz), nx rounded to match. Used by the --cells CLI flag."""
+def factor_cells(cells: float) -> GridDims:
+    """Cube-ish dims for a requested cell count: nz = 64, the study's column
+    height, ny a power of two near sqrt(cells/64), nx rounded to match. Used
+    by the --cells and --cells-list CLI flags."""
+    nz = 64
     if not nz <= cells < math.inf:  # also rejects nan
         raise ValueError(f"cell count {cells} must be finite and at least one column of nz={nz}")
     columns = cells / nz

@@ -427,29 +427,23 @@ def _quiet_main(argv):
         return run_cli(*argv)
 
 
-def _legal(grid: str, engines: str, parse_engines) -> bool:
+def _legal(grid: str, engines: str) -> bool:
     try:
         dims = _parse_grid(grid)
-        for e in parse_engines(engines):
+        for e in _list_parser(int)(engines):
             check_config(dims, e, ModelParams().y_batch)
     except (argparse.ArgumentTypeError, ValueError):
         return False
     return True
 
 
+# `model` is another name of `sweep`: both take an engine list, and the
+# strategies draw single counts as well as lists
+@pytest.mark.parametrize("command", ["model", "sweep"])
 @settings(max_examples=100, deadline=None)
-@given(_GRID_TEXT, st.text(max_size=4) | _ENGINES)
-def test_model_answers_only_legal_configurations(grid, engines):
-    code = _quiet_main(["model", "--grid", grid, "--engines", engines])
+@given(grid=_GRID_TEXT, engines=st.text(max_size=4) | _ENGINES | _ENGINE_LIST)
+def test_answers_only_legal_configurations(command, grid, engines):
+    code = _quiet_main([command, "--grid", grid, "--engines", engines])
     assert code in (0, 2)
     if code == 0:
-        assert _legal(grid, engines, lambda text: [int(text)])
-
-
-@settings(max_examples=100, deadline=None)
-@given(_GRID_TEXT, _ENGINE_LIST)
-def test_sweep_answers_only_legal_configurations(grid, engines):
-    code = _quiet_main(["sweep", "--grid", grid, "--engines", engines])
-    assert code in (0, 2)
-    if code == 0:
-        assert _legal(grid, engines, _list_parser(int))
+        assert _legal(grid, engines)

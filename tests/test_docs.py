@@ -2,9 +2,12 @@
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from pwadvect import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "docs/model-notes.md")
@@ -28,3 +31,23 @@ def test_docs_cite_code():
 def test_doc_code_reference_resolves(doc, module, name):
     assert hasattr(importlib.import_module(f"pwadvect.{module}"), name), \
         f"{doc} cites `{module}.{name}`, which pwadvect.{module} does not define"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each `pwadvect ...` line in README's "Command line"
+    block, with backslash continuations joined."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pwadvect ")]
+
+
+def test_readme_commands_parse():
+    """Parsed, never run: a renamed or folded subcommand or option fails here."""
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} >= {"bench", "sweep", "calibrate", "validate"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's `pwadvect {shlex.join(argv)}` does not parse")

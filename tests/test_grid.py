@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import re
 import shutil
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,6 @@ from pwadvect.grid import (
     FieldSet,
     GeneratorSpec,
     GridDims,
-    GridError,
     SourceSet,
     check_config,
     checksum,
@@ -41,12 +41,26 @@ def test_make_grid_cell_counts():
     assert GridDims(1, 1, 2).cells == 2                  # minimum legal grid
 
 
-@pytest.mark.parametrize("bad", [(0, 4, 4), (4, 0, 4), (4, 4, 1), (4, 4, 0), (-1, 4, 4),
-                                 (2.5, 4, 4), (float("nan"), 4, 4), (4, float("inf"), 4),
-                                 (4, 4, 4.0), (True, 4, 4)])
+_NZ_RULE = "nz must be >= 2 (column stencil starts at k=2)"
+
+
+# each case: extents, and the start of check_count's message or the nz rule
+@pytest.mark.parametrize("bad", [
+    ((0, 4, 4), "nx = 0 must be >= 1"),
+    ((4, 0, 4), "ny = 0 must be >= 1"),
+    ((4, 4, 1), _NZ_RULE),
+    ((4, 4, 0), _NZ_RULE),
+    ((-1, 4, 4), "nx = -1 must be >= 1"),
+    ((2.5, 4, 4), "nx = 2.5 must be an integer"),
+    ((float("nan"), 4, 4), "nx = nan must be an integer"),
+    ((4, float("inf"), 4), "ny = inf must be an integer"),
+    ((4, 4, 4.0), "nz = 4.0 must be an integer"),
+    ((True, 4, 4), "nx = True must be an integer"),
+])
 def test_make_grid_rejects(bad):
-    with pytest.raises(GridError):
-        GridDims(*bad)
+    extents, phrase = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(phrase)}"):
+        GridDims(*extents)
 
 
 def test_uniform_fill_including_halos():
@@ -363,9 +377,9 @@ def test_checksum_golden():
 
 def test_field_shape_validation():
     dims = GridDims(2, 2, 2)
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match=re.escape("field shape (2, 2, 2) != padded (4, 4, 2)")):
         Field3D(dims, np.zeros((2, 2, 2)))
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="fields are float64, got float32"):
         Field3D(dims, np.zeros(dims.padded_shape, dtype=np.float32))
 
 
@@ -373,12 +387,12 @@ def test_field_shape_validation():
 @pytest.mark.parametrize("odd", [0, 1, 2])
 def test_field_and_source_sets_reject_mismatched_dims(make, odd):
     fields = [zeros_field(GridDims(2, 2, 3 if n == odd else 2)) for n in range(3)]
-    with pytest.raises(GridError, match="must share one GridDims"):
+    with pytest.raises(ValueError, match="must share one GridDims"):
         make(*fields)
 
 
 def test_generator_spec_rejects_unknown_mode():
-    with pytest.raises(GridError, match="unknown generator mode 'bogus'"):
+    with pytest.raises(ValueError, match="unknown generator mode 'bogus'"):
         GeneratorSpec("bogus")
 
 

@@ -21,7 +21,6 @@ def test_transfer_volume_published_case():
     both = transfer_volume(GRID_LARGEST, "both")
     assert both == pytest.approx(12.88e9, rel=0.01)
     assert transfer_volume(GRID_LARGEST, "to_card") == pytest.approx(6.44e9, rel=0.01)
-    assert transfer_volume(GRID_LARGEST, "from_card") == pytest.approx(6.44e9, rel=0.01)
 
 
 def test_transfer_volume_single_cell_and_linearity():
