@@ -63,11 +63,11 @@ def _parse_grid(text: str):
 
 
 def _resolve_dims(args, parser):
-    if getattr(args, "grid", None) is not None and getattr(args, "cells", None) is not None:
+    if args.grid is not None and args.cells is not None:
         parser.error("give either --grid or --cells, not both")
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         return args.grid
-    if getattr(args, "cells", None) is not None:
+    if args.cells is not None:
         return factor_cells(args.cells)
     parser.error("one of --grid or --cells is required")
 
@@ -200,6 +200,7 @@ def _list_parser(cast):
         if not values:
             raise argparse.ArgumentTypeError(f"empty list {text!r}")
         return values
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value"
     return parse
 
 

@@ -216,6 +216,15 @@ _TOP_TAPES = tuple((_record(formula, True), spec) for formula, spec in _FORMULAS
 _NSLOTS = max(d for tape, _ in _MID_TAPES + _TOP_TAPES for *_, d in tape) - _RESULT
 
 
+def _loads(tape) -> int:
+    """The field-operand reads of one tape; coefficients are not loads."""
+    return sum(_NCOEFS <= x < _NLEAVES for _, a, b, _d in tape for x in (a, b))
+
+
+# field-operand reads to produce all three outputs at one point: mid level, top level
+_READS = tuple(sum(_loads(tape) for tape, _ in tapes) for tapes in (_MID_TAPES, _TOP_TAPES))
+
+
 def new_scratch(shape) -> tuple[list, list]:
     """Slot buffers for blocks of role shape (..., nz): mid levels, top level.
 
@@ -325,8 +334,13 @@ def kernel_source() -> str:
     phase (base address, stride 0, stride 1) per array, strides in bytes:
     the 17 COMPUTE_ROLES in order (r0..r16), then su, sv, sw (o0..o2).
     `copies` holds per phase and copy (destination, address of source plane
-    dx, source plane stride, row bytes, bytes). compute_block builds both
-    tables; the C's one staging rule is BYTES, the bytes a batch copies.
+    dx, source plane stride, row bytes, bytes, prefetch). compute_block
+    builds both tables; the C's one staging rule is BYTES, the bytes a batch
+    copies. While step i computes its columns, column b of w prefetches
+    into L2 its w-th share of the cache lines that step i + 1 will copy
+    from each copy whose prefetch field is 1 (see _copy_table); the last
+    step of a batch prefetches nothing. A prefetch stages no element, so
+    the count the call returns is the same.
 
     `pwadvect_lcg(state, narrays, arrays)` fills segments in turn with the
     doubles of grid.lcg_fill's stream from `state`, the masked seed jumped
@@ -353,10 +367,16 @@ def kernel_source() -> str:
         "#include <string.h>",
         "",
         "#define WIDTH(y) (rows - (y) < n1 ? rows - (y) : n1)",
-        "#define COPIES(i) (copies + (i) % phases * 5 * ncopies)",
+        "#define COPIES(i) (copies + (i) % phases * 6 * ncopies)",
         "#define DEST(c) ((void *)(intptr_t)(c)[0])",
         "#define SOURCE(c, i, y) ((const char *)(intptr_t)(c)[1] + (i) * (c)[2] + (y) * (c)[3])",
         "#define BYTES(c, w) ((size_t)((c)[4] - (n1 - (w)) * (c)[3]))",
+        "/* while step i computes, its column b of w prefetches a w-th of the 64-byte */",
+        "/* lines that the next step's copies read; the last step prefetches none */",
+        "#define NEXT(i) COPIES((i) + 1)",
+        "#define NEXT_END(i) (NEXT(i) + ((i) + 1 < steps) * 6 * ncopies)",
+        "#define SHARE(c, w, b) ((int64_t)((BYTES(c, w) + 63) / 64) * (b) / (w))",
+        "#define LINE(c, i, y, l) (SOURCE(c, (i) + 1, y) + 64 * (l))",
         f"#define ARRAYS(a) (desc + (a) % phases * 3 * {len(COMPUTE_ROLES) + 3})",
         "#define COLUMN(n, j) ((double *)((char *)(intptr_t)arrays[3 * (n)]"
         " + a * arrays[3 * (n) + 1] + (j) * arrays[3 * (n) + 2]))",
@@ -374,7 +394,7 @@ def kernel_source() -> str:
         "        const int64_t w = WIDTH(y);",
         "        for (int64_t i = 0, a = -lag; i < steps; i++, a++) {",
         "            const int64_t *c = COPIES(i);",
-        "            for (int64_t n = 0; n < ncopies; n++, c += 5) {",
+        "            for (int64_t n = 0; n < ncopies; n++, c += 6) {",
         "                memcpy(DEST(c), SOURCE(c, i, y), BYTES(c, w));",
         "                moved += BYTES(c, w);",
         "            }",
@@ -382,6 +402,10 @@ def kernel_source() -> str:
         "                continue;",
         "            const int64_t *arrays = ARRAYS(a);",
         "            for (int64_t b = 0; b < w; b++) {",
+        "                for (const int64_t *p = NEXT(i); p < NEXT_END(i); p += 6)",
+        "                    if (p[5])",
+        "                        for (int64_t l = SHARE(p, w, b); l < SHARE(p, w, b + 1); l++)",
+        "                            __builtin_prefetch(LINE(p, i, y, l), 0, 2);",
         *indent(columns, 4),
         "                #pragma omp simd",
         "                for (int64_t k = 1; k < t; k++) {",
@@ -517,6 +541,32 @@ def _checked_copies(copies, phases: int, steps: int, n1: int, rows: int) -> tupl
     return copies
 
 
+def _copy_table(copies) -> np.ndarray:
+    """pwadvect_block's copy table for checked copies: per phase and copy
+    (destination, address of source plane dx, source plane stride, row
+    bytes, bytes, prefetch).
+
+    Step i copies with phase i % P and step i + 1 with the next phase. A
+    copy of the next phase gets prefetch 0 when its source at step i + 1
+    lies inside the range that one copy of phase i % P read at step i, so
+    its lines are cached already. With equal strides that holds at every
+    step and Y batch of the call or at none: both ranges move by the same
+    bytes from step to step and from row to row, and a narrower last batch
+    shortens both by the same rows.
+    """
+    table = np.array([(dst.ctypes.data, src.ctypes.data + dx * src.strides[0], src.strides[0],
+                       dst.nbytes // len(dst), dst.nbytes, 1)
+                      for phase in copies for dst, src, dx in phase],
+                     dtype=np.int64).reshape(len(copies), len(copies[0]), 6)
+    # [q, c, d]: copy c of phase q at step i + 1 against copy d of phase q - 1 at step i
+    nxt, read = table[:, :, None], np.roll(table, 1, axis=0)[:, None]
+    gap = nxt[..., 1] + nxt[..., 2] - read[..., 1]
+    inside = ((nxt[..., 2] == read[..., 2]) & (nxt[..., 3] == read[..., 3])
+              & (gap >= 0) & (gap + nxt[..., 4] <= read[..., 4]))
+    table[..., 5] = ~inside.any(axis=2)
+    return table
+
+
 # Cells per block of the numpy replay: 65,536 cells is 512 KiB per float64
 # temporary, so the replay's operands and scratch slots stay in L2 instead
 # of streaming grid-sized temporaries through DRAM. The compiled kernel
@@ -569,15 +619,11 @@ def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: in
         # the locals hold the buffers behind the addresses for the call
         desc = np.array([[(arr.ctypes.data, *arr.strides[:2]) for arr in arrays]
                          for arrays in phases], dtype=np.int64)
-        ncopies = len(copies[0])
-        table = np.array([(dst.ctypes.data, src.ctypes.data + dx * src.strides[0], src.strides[0],
-                           dst.nbytes // len(dst), dst.nbytes)
-                          for phase in copies for dst, src, dx in phase],
-                         dtype=np.int64).reshape(len(phases), ncopies, 5)
+        table = _copy_table(copies)
         tzc1, tzc2 = np.ascontiguousarray(coeffs.tzc1), np.ascontiguousarray(coeffs.tzc2)
         return lib.pwadvect_block(steps, len(phases), lag, n1, rows, nz, coeffs.tcx, coeffs.tcy,
                                   tzc1.ctypes.data, tzc2.ctypes.data, desc.ctypes.data,
-                                  ncopies, table.ctypes.data)
+                                  table.shape[1], table.ctypes.data)
     # the numpy replay: a block that stages runs one step at a time, else
     # blocks of at most BLOCK_CELLS cells
     scratch, moved = {}, 0
@@ -690,11 +736,11 @@ def operation_census(top: bool = False) -> dict:
         census[name] = {
             "muls": sum(ufunc is np.multiply for ufunc, *_ in tape),
             "adds": sum(ufunc is not np.multiply for ufunc, *_ in tape),
-            "loads": sum(_NCOEFS <= x < _NLEAVES for _, a, b, _d in tape for x in (a, b)),
+            "loads": _loads(tape),
         }
     return census
 
 
 def reads_per_point(top: bool = False) -> int:
     """Total field-operand reads to produce all three outputs at one point."""
-    return sum(c["loads"] for c in operation_census(top).values())
+    return _READS[top]

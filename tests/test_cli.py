@@ -198,6 +198,40 @@ def test_bench_fails_when_a_repetition_changes_the_digest(monkeypatch, capsys):
     assert capsys.readouterr().err == "FAIL reference: checksum changed between repetitions\n"
 
 
+def test_bench_fails_when_a_repetition_changes_the_traffic(monkeypatch, capsys):
+    run, calls = cli.run_schedule, []
+
+    def miscounting(fields, coeffs, spec):
+        out, tc, wall = run(fields, coeffs, spec)
+        calls.append(spec)
+        # the second repetition counts one more local read, same outputs
+        return out, dataclasses.replace(tc, local_reads=tc.local_reads + len(calls) - 1), wall
+
+    monkeypatch.setattr(cli, "run_schedule", miscounting)
+    assert run_cli("bench", "--grid", "4x4x4", "--reps", "2") == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err == (
+        "FAIL reference: traffic counters changed between repetitions\n")
+
+
+def test_bench_fails_when_schedules_disagree(monkeypatch, capsys):
+    run = cli.run_schedule
+
+    def one_off(fields, coeffs, spec):
+        out, tc, wall = run(fields, coeffs, spec)
+        if spec.variant == "y_batched":  # the same wrong bit in every repetition
+            out.su.data[2, 2, -1] += 1.0
+        return out, tc, wall
+
+    monkeypatch.setattr(cli, "run_schedule", one_off)
+    assert run_cli("bench", "--grid", "4x4x4", "--reps", "2",
+                   "--schedule", "reference", "--schedule", "y_batched") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL schedules disagree on output checksums\n"
+    # both rows are still reported
+    assert "reference" in captured.out and "y_batched" in captured.out
+
+
 def test_bench_rejects_bad_schedule():
     assert run_cli("bench", "--grid", "4x4x4", "--schedule", "quantum") == 2
 
@@ -332,6 +366,12 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli("model", "--cells", "1e308", "--engines", "12") == 2
     assert run_cli("sweep", "--cells-list", "0") == 2
     assert run_cli("sweep", "--cells-list", "1e6", "--engines", ",") == 2
+    # a list element of the wrong type is named by its type, as for a plain option
+    capsys.readouterr()
+    assert run_cli("sweep", "--grid", "8x64x8", "--engines", "x") == 2
+    assert "argument --engines: invalid int value: 'x'" in capsys.readouterr().err
+    assert run_cli("sweep", "--cells-list", "1e6,x") == 2
+    assert "argument --cells-list: invalid float value: '1e6,x'" in capsys.readouterr().err
     # y_batch is no option of the model: the message names its parameter-file key
     big_batch = tmp_path / "batch.params"
     big_batch.write_text("model.y_batch = 600\n")  # above the calibration anchors' ny = 512

@@ -749,6 +749,23 @@ def test_staged_batches_equal_unstaged_roles():
     assert all((dst[2:] == src[2 + dx, 6:8]).all() for dst, src, dx in copies[0])
 
 
+def test_copy_table_flags_each_copy_against_the_phase_before():
+    # two phases over one source of 6 planes of 8 rows: at step i + 1, phase
+    # 1's copy reads plane i + 1, which phase 0's copy read at step i, so it
+    # is not prefetched; phase 0's reads plane i + 2, so it is
+    src = np.zeros((6, 8, 2))
+    rows = np.zeros((4, 2))
+    table = kernel._copy_table([[(rows, src, 1)], [(rows, src, 0)]])
+    assert table.shape == (2, 1, 6) and table[..., 5].tolist() == [[1], [0]]
+    # one row more than phase 0 read is outside
+    longer = (np.zeros((5, 2)), src, 0)
+    assert kernel._copy_table([[(rows, src, 1)], [longer]])[1, 0, 5] == 1
+    # the same bytes seen as rows of half the size lie inside at row 0 only,
+    # since row y of a 16-byte-row view and of an 8-byte-row view drift apart
+    halves = (np.zeros((2, 1)), src.reshape(6, 16, 1), 0)
+    assert kernel._copy_table([[(rows, src, 1)], [halves]])[1, 0, 5] == 1
+
+
 def test_model_path_builds_no_kernel():
     # `import pwadvect`, `validate` and the uniform and trig generators must
     # neither compile nor load the kernel library

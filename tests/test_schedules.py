@@ -167,6 +167,44 @@ def test_staged_schedules_bind_each_phase_once(monkeypatch, variant, batch, phas
                for _, roles, outs, copies, got in runs)
 
 
+# y_batched and column_buffered copies whose source at step i + 1 the copy
+# of the same field at (dx + 1, same dy) read at step i
+PREFETCH_SKIPPED = {("u", 0, 0), ("u", -1, 0), ("u", -1, 1), ("v", 0, 0), ("v", 0, -1),
+                    ("v", -1, 0), ("w", 0, 0), ("w", -1, 0)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prefetch_skips_sources_the_step_before_read(monkeypatch, variant):
+    # 6 x 11 over 3 engines, Y batches of 4, 4 and 3 rows: the prefetch field
+    # of the copy table that compute_block builds from each slab's copies
+    dims, fields, coeffs = case(nx=6, ny=11, nz=5)
+    tables, run = [], schedules.compute_block
+
+    def running(coeffs, phases, out, copies=(), lag=0):
+        tables.append(kernel._copy_table(copies) if copies else None)
+        return run(coeffs, phases, out, copies, lag)
+
+    monkeypatch.setattr(schedules, "compute_block", running)
+    run_schedule(fields, coeffs, ScheduleSpec(variant, 4, engines=3))
+    if variant == "reference":  # no copies, so nothing to prefetch
+        assert tables and all(table is None for table in tables)
+        return
+    assert len(tables) == 3
+    for table in tables:
+        if variant == "x_reordered":  # each step fetches a new plane per field
+            assert table.shape == (3, 3, 6) and (table[..., 5] == 1).all()
+        else:  # one phase, the 17 role copies in COMPUTE_ROLES order
+            assert table.shape == (1, 17, 6)
+            assert {role for role, flag in zip(kernel.COMPUTE_ROLES, table[0, :, 5])
+                    if not flag} == PREFETCH_SKIPPED
+
+
+def test_no_copies_prefetch_nothing():
+    for phases in (1, 3):
+        table = kernel._copy_table(((),) * phases)
+        assert table.shape == (phases, 0, 6) and not table[..., 5].any()
+
+
 def test_engine_threads_capped_by_cores(monkeypatch):
     dims, fields, coeffs = case(nx=16, ny=5, nz=6)
     sizes = []
