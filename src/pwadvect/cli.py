@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 validation or benchmark failure, 2 usage error.
 Report files are CSV (frozen column order, header row) or JSON mirrors of
 the same rows; reruns of one config differ only in timing fields and host
-metadata. The PWADVECT_PARAMS environment variable supplies a default
-parameter file; --params overrides it.
+metadata. A parameter file is named only by --params.
 """
 
 from __future__ import annotations
@@ -43,33 +42,12 @@ BENCH_COLUMNS = ("schedule", "engines", "y_batch", "nx", "ny", "nz", "reps",
                  "external_reads", "external_writes", "local_reads", "local_writes",
                  "scratch_bytes_peak", "kernel", "host")
 
-_SCHEDULE_NAMES = {v.replace("_", ""): v for v in VARIANTS}
-
-
-def _canon_schedule(name: str) -> str:
-    key = name.lower().replace("-", "").replace("_", "")
-    if key not in _SCHEDULE_NAMES:
-        raise argparse.ArgumentTypeError(
-            f"unknown schedule {name!r}; choose from {sorted(_SCHEDULE_NAMES)}")
-    return _SCHEDULE_NAMES[key]
-
-
 def _parse_grid(text: str):
     try:
         nx, ny, nz = (int(part) for part in text.lower().split("x"))
         return GridDims(nx, ny, nz)
     except Exception as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r} (want NXxNYxNZ): {exc}")
-
-
-def _resolve_dims(args, parser):
-    if args.grid is not None and args.cells is not None:
-        parser.error("give either --grid or --cells, not both")
-    if args.grid is not None:
-        return args.grid
-    if args.cells is not None:
-        return factor_cells(args.cells)
-    parser.error("one of --grid or --cells is required")
 
 
 def _host_description() -> str:
@@ -115,11 +93,12 @@ def _load(args, parser) -> ModelParams:
 
 @contextmanager
 def _usage_errors(parser):
-    """Report a ValueError or OverflowError from a configuration check, or an
-    OSError from writing an --out file, as exit 2."""
+    """Report a ValueError from a configuration check, an ArithmeticError from a
+    model that legal parameters overflow or zero, or an OSError from writing an
+    --out file, as exit 2."""
     try:
         yield
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         parser.error(str(exc))
 
 
@@ -146,9 +125,8 @@ def _model_row(p: ModelParams, dims, engines: int) -> dict:
 def cmd_bench(args, parser) -> int:
     with _usage_errors(parser):
         check_count("--reps", args.reps)
-        dims = _resolve_dims(args, parser)
+    dims = args.grid
     gen = {"uniform": GeneratorSpec.uniform(1.0, 1.1, 0.9),
-           "trig": GeneratorSpec.trig(),
            "random": GeneratorSpec.random(args.seed)}[args.gen]
     try:
         fields = fill_fields(dims, gen)
@@ -206,16 +184,13 @@ def _list_parser(cast):
 
 def cmd_sweep(args, parser) -> int:
     p = _load(args, parser)
-    if args.cells_list and (args.grid is not None or args.cells is not None
-                            or len(args.engines) > 1):
-        parser.error("--cells-list takes one --engines value and no --grid or --cells")
+    if args.grid is not None and args.cells is not None:
+        parser.error("give either --grid or --cells, not both")
+    if args.grid is None and args.cells is None:
+        parser.error("one of --grid or --cells is required")
     with _usage_errors(parser):
-        if args.cells_list:
-            points = [(factor_cells(cells), args.engines[0]) for cells in args.cells_list]
-        else:
-            dims = _resolve_dims(args, parser)
-            points = [(dims, engines) for engines in args.engines]
-        rows = [_model_row(p, dims, engines) for dims, engines in points]
+        grids = [args.grid] if args.cells is None else [factor_cells(c) for c in args.cells]
+        rows = [_model_row(p, dims, engines) for dims in grids for engines in args.engines]
         _write_rows(rows, MODEL_COLUMNS, args.out, args.format)
     return 0
 
@@ -342,9 +317,11 @@ def _validation_checks(p: ModelParams):
 
 def cmd_validate(args, parser) -> int:
     p = _load(args, parser)
+    with _usage_errors(parser):
+        checks = list(_validation_checks(p))
     print(f"validating against: {DATA_SOURCE}")
     failures = 0
-    for name, ok, detail, citation in _validation_checks(p):
+    for name, ok, detail, citation in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]  <{citation}>")
         failures += 0 if ok else 1
     if failures:
@@ -369,27 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     bench = subs.add_parser("bench", help="run schedules on the host and report timings/traffic")
-    bench.add_argument("--grid", type=_parse_grid, metavar="NXxNYxNZ")
-    bench.add_argument("--cells", type=float, help="cell count; cube-ish grid is derived")
-    bench.add_argument("--schedule", action="append", type=_canon_schedule,
-                       metavar="NAME", help="repeatable; default reference")
+    bench.add_argument("--grid", type=_parse_grid, metavar="NXxNYxNZ", required=True)
+    bench.add_argument("--schedule", action="append", choices=VARIANTS,
+                       help="repeatable; default reference")
     bench.add_argument("--engines", type=int, default=1)
     bench.add_argument("--y-batch", type=int, dest="y_batch",
                        help="Y batch of y_batched/x_reordered, at most ny; default min(64, ny)")
-    bench.add_argument("--gen", choices=("uniform", "trig", "random"), default="random")
+    bench.add_argument("--gen", choices=("uniform", "random"), default="random")
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--reps", type=int, default=5)
     _add_output_args(bench)
     bench.set_defaults(func=cmd_bench)
 
     sweep = subs.add_parser("sweep", aliases=["model"],
-                            help="predict kernel/DMA/total time over engine counts or grid sizes")
+                            help="predict kernel/DMA/total time over grid sizes and engine counts")
     sweep.add_argument("--grid", type=_parse_grid, metavar="NXxNYxNZ")
-    sweep.add_argument("--cells", type=float)
+    sweep.add_argument("--cells", type=_list_parser(float), metavar="N1,N2,...",
+                       help="cell counts; a cube-ish grid is derived from each")
     sweep.add_argument("--engines", type=_list_parser(int), default=[1],
-                       metavar="E1,E2,...", help="engine counts")
-    sweep.add_argument("--cells-list", type=_list_parser(float), dest="cells_list",
-                       metavar="N1,N2,...", help="grid-size sweep at one --engines count")
+                       metavar="E1,E2,...", help="engine counts; one row per grid and count")
     sweep.add_argument("--params", metavar="FILE",
                        help="parameter file (see model-defaults.params)")
     _add_output_args(sweep)

@@ -157,8 +157,8 @@ def zeros_sources(dims: GridDims) -> SourceSet:
 class GeneratorSpec:
     """Deterministic field generation: same spec + dims => bit-identical fields.
 
-    Modes: "uniform" (u=a, v=b, w=c everywhere), "trig" (smooth periodic
-    pattern), "random" (64-bit LCG stream, see lcg_fill).
+    Modes: "uniform" (u=a, v=b, w=c everywhere), "random" (64-bit LCG
+    stream, see lcg_fill).
     """
 
     mode: str = "uniform"
@@ -168,16 +168,12 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "trig", "random"):
+        if self.mode not in ("uniform", "random"):
             raise ValueError(f"unknown generator mode {self.mode!r}")
 
     @classmethod
     def uniform(cls, a: float, b: float, c: float) -> "GeneratorSpec":
         return cls("uniform", a=a, b=b, c=c)
-
-    @classmethod
-    def trig(cls) -> "GeneratorSpec":
-        return cls("trig")
 
     @classmethod
     def random(cls, seed: int) -> "GeneratorSpec":
@@ -341,27 +337,12 @@ def wrap_halos(data: np.ndarray) -> None:
     data[:, -1, :] = data[:, 1, :]
 
 
-def _trig_interior(dims: GridDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.sin(2.0 * np.pi * np.arange(dims.nx) / dims.nx)[:, None, None]
-    cx = np.cos(2.0 * np.pi * np.arange(dims.nx) / dims.nx)[:, None, None]
-    y = np.sin(2.0 * np.pi * np.arange(dims.ny) / dims.ny)[None, :, None]
-    cy = np.cos(2.0 * np.pi * np.arange(dims.ny) / dims.ny)[None, :, None]
-    z = (np.arange(dims.nz) / dims.nz)[None, None, :]
-    u = x * cy * (1.0 + z)
-    v = cx * y * (1.0 + z)
-    w = x * y * z
-    return u, v, w
-
-
 def fill_fields(dims: GridDims, spec: GeneratorSpec) -> FieldSet:
     """Populate interior per the spec, then wrap halos periodically."""
     fields = [np.empty(dims.padded_shape) for _ in range(3)]
     if spec.mode == "uniform":
         for arr, val in zip(fields, (spec.a, spec.b, spec.c)):
             arr.fill(val)
-    elif spec.mode == "trig":
-        for arr, interior in zip(fields, _trig_interior(dims)):
-            arr[1:-1, 1:-1, :] = interior
     else:  # one LCG stream: u interior, then v, then w, in layout order
         lcg_fill(spec.seed, [arr[1:-1, 1:-1, :] for arr in fields])
     for arr in fields:

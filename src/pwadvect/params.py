@@ -1,4 +1,4 @@
-"""Model parameter bundle: built-in defaults, key=value file I/O, env lookup.
+"""Model parameter bundle: built-in defaults and key=value file I/O.
 
 Only tunable model inputs live here; published facts live in `refdata`.
 The shipped defaults live both here and, with provenance comments, in
@@ -9,8 +9,7 @@ rejected so typos can't silently fall back to defaults. This module only
 parses a file and overlays it on the defaults: each value's legal range is
 checked by the type that holds it (`PipelineSpec`, `MemoryModel`,
 `DmaConfig`, `ModelParams`) with `grid`'s rules for counts and for times
-and rates, for a file and a Python caller alike. The
-``PWADVECT_PARAMS`` environment variable names a default parameter file.
+and rates, for a file and a Python caller alike.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .grid import check_count
 from .kernel import FlopProfile
 from .refdata import TUNED_PIPE
 from .transfer import DmaConfig
-
-ENV_VAR = "PWADVECT_PARAMS"
 
 # Two-point calibration output (see docs/model-notes.md section 4); frozen so
 # shipped behaviour does not depend on re-running the fit.
@@ -113,15 +110,15 @@ def parse_params_text(text: str, source: str = "<string>") -> dict[str, float]:
 
 
 def load_params(path: str | os.PathLike | None = None) -> ModelParams:
-    """Built-in defaults overlaid with a parameter file, if one is given.
-
-    Resolution order: explicit path, else $PWADVECT_PARAMS, else defaults.
-    """
-    if path is None:
-        path = os.environ.get(ENV_VAR) or None
+    """Built-in defaults overlaid with the parameter file `path`, if one is given.
+    ParamError for a bad file, OSError for one that cannot be read."""
     p = ModelParams()
     if path is not None:
-        for key, value in parse_params_text(Path(path).read_text(), source=str(path)).items():
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParamError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        for key, value in parse_params_text(text, source=str(path)).items():
             p = _with(p, key, value)
     return p
 

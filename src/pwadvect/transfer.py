@@ -102,7 +102,7 @@ def scaling_table(dims: GridDims, engine_list, pipeline: PipelineSpec,
 def factor_cells(cells: float) -> GridDims:
     """Cube-ish dims for a requested cell count: nz = 64, the study's column
     height, ny a power of two near sqrt(cells/64), nx rounded to match. Used
-    by the --cells and --cells-list CLI flags."""
+    by sweep's --cells option."""
     nz = 64
     if not nz <= cells < math.inf:  # also rejects nan
         raise ValueError(f"cell count {cells} must be finite and at least one column of nz={nz}")

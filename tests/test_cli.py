@@ -130,7 +130,7 @@ def test_out_of_range_params_file_is_usage_error(tmp_path, capsys):
 def test_bench_two_schedules_equal_checksums(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = run_cli("bench", "--grid", "12x10x6", "--schedule", "reference",
-                   "--schedule", "xreordered", "--reps", "2", "--seed", "5",
+                   "--schedule", "x_reordered", "--reps", "2", "--seed", "5",
                    "--y-batch", "4", "--out", str(out))
     assert code == 0
     with out.open() as fh:
@@ -149,7 +149,7 @@ def test_bench_minimal_grid(capsys):
 
 def test_bench_traffic_report_in_output(tmp_path):
     out = tmp_path / "bench.json"
-    code = run_cli("bench", "--grid", "16x8x4", "--schedule", "xreordered",
+    code = run_cli("bench", "--grid", "16x8x4", "--schedule", "x_reordered",
                    "--engines", "4", "--y-batch", "8", "--reps", "1",
                    "--out", str(out), "--format", "json")
     assert code == 0
@@ -232,14 +232,19 @@ def test_bench_fails_when_schedules_disagree(monkeypatch, capsys):
     assert "reference" in captured.out and "y_batched" in captured.out
 
 
-def test_bench_rejects_bad_schedule():
-    assert run_cli("bench", "--grid", "4x4x4", "--schedule", "quantum") == 2
+def test_bench_rejects_bad_schedule(capsys):
+    # a schedule is named as its rows name it; no other spelling folds into one
+    for name in ("quantum", "xreordered"):
+        assert run_cli("bench", "--grid", "4x4x4", "--schedule", name) == 2
+        assert capsys.readouterr().err.endswith(
+            f"argument --schedule: invalid choice: {name!r} (choose from 'reference', "
+            "'column_buffered', 'y_batched', 'x_reordered')\n")
 
 
 def test_bench_reports_are_deterministic_modulo_timing(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
-        assert run_cli("bench", "--grid", "8x8x4", "--schedule", "ybatched",
+        assert run_cli("bench", "--grid", "8x8x4", "--schedule", "y_batched",
                        "--y-batch", "4", "--reps", "2", "--out", str(path),
                        "--format", "json") == 0
     strip = lambda rows: [
@@ -297,11 +302,21 @@ def test_sweep_single_point_matches_model(tmp_path):
     assert run_cli("model", "--grid", "512x512x64", "--engines", "4",
                    "--out", str(b), "--format", "json") == 0
     assert json.loads(a.read_text()) == json.loads(b.read_text())
+    # a sweep is every grid x every engine count, grid-major, each row its single point
+    assert run_cli("sweep", "--cells", "1e6,4e6", "--engines", "1,12",
+                   "--out", str(a), "--format", "json") == 0
+    rows = json.loads(a.read_text())
+    points = [(cells, engines) for cells in ("1e6", "4e6") for engines in ("1", "12")]
+    assert len(rows) == len(points) == 4
+    for row, (cells, engines) in zip(rows, points):
+        assert run_cli("sweep", "--cells", cells, "--engines", engines,
+                       "--out", str(b), "--format", "json") == 0
+        assert json.loads(b.read_text()) == [row]
 
 
 def test_sweep_grid_series_monotone(tmp_path):
     out = tmp_path / "grids.json"
-    assert run_cli("sweep", "--cells-list", "1e6,4e6,16e6,67e6,268e6",
+    assert run_cli("sweep", "--cells", "1e6,4e6,16e6,67e6,268e6",
                    "--engines", "12", "--out", str(out), "--format", "json") == 0
     rows = json.loads(out.read_text())
     for col in ("kernel_seconds", "dma_seconds", "total_seconds"):
@@ -346,6 +361,14 @@ def test_calibrate_degenerate_observations(tmp_path, capsys):
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli() == 2
     assert run_cli("bench", "--grid", "not-a-grid") == 2
+    # bench takes its grid from --grid only, and the generators are uniform and random
+    capsys.readouterr()
+    assert run_cli("bench") == 2
+    assert "the following arguments are required: --grid" in capsys.readouterr().err
+    assert run_cli("bench", "--grid", "4x4x4", "--cells", "396") == 2
+    assert "unrecognized arguments: --cells 396" in capsys.readouterr().err
+    assert run_cli("bench", "--grid", "4x4x4", "--gen", "trig") == 2
+    assert "argument --gen: invalid choice: 'trig'" in capsys.readouterr().err
     # fields that cannot be allocated: numpy refuses this size before allocating
     assert run_cli("bench", "--grid", "99999999x99999999x99999999") == 2
     with monkeypatch.context() as m:
@@ -364,28 +387,48 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     for cells in ("-5", "nan", "inf", "1e4"):
         assert run_cli("model", "--cells", cells) == 2
     assert run_cli("model", "--cells", "1e308", "--engines", "12") == 2
-    assert run_cli("sweep", "--cells-list", "0") == 2
-    assert run_cli("sweep", "--cells-list", "1e6", "--engines", ",") == 2
+    assert run_cli("sweep", "--cells", "0") == 2
+    assert run_cli("sweep", "--cells", "1e6", "--engines", ",") == 2
     # a list element of the wrong type is named by its type, as for a plain option
     capsys.readouterr()
     assert run_cli("sweep", "--grid", "8x64x8", "--engines", "x") == 2
     assert "argument --engines: invalid int value: 'x'" in capsys.readouterr().err
-    assert run_cli("sweep", "--cells-list", "1e6,x") == 2
-    assert "argument --cells-list: invalid float value: '1e6,x'" in capsys.readouterr().err
+    assert run_cli("sweep", "--cells", "1e6,x") == 2
+    assert "argument --cells: invalid float value: '1e6,x'" in capsys.readouterr().err
     # y_batch is no option of the model: the message names its parameter-file key
     big_batch = tmp_path / "batch.params"
     big_batch.write_text("model.y_batch = 600\n")  # above the calibration anchors' ny = 512
     capsys.readouterr()
     for argv in (("model", "--grid", "64x32x64"), ("model", "--cells", "1e4"),
                  ("sweep", "--grid", "64x32x64", "--engines", "1,2"),
-                 ("sweep", "--cells-list", "1e6,1e4"),
+                 ("sweep", "--cells", "1e6,1e4"),
                  ("calibrate", "--params", str(big_batch))):
         assert run_cli(*argv) == 2
         assert "y_batch must be in 1..ny=" in (err := capsys.readouterr().err)
         assert "(parameter-file key model.y_batch)" in err
-    # --cells-list sweeps at one engine count and factors its own grids
-    for extra in (("--engines", "1,4"), ("--grid", "8x8x8"), ("--cells", "1e6")):
-        assert run_cli("sweep", "--cells-list", "1e6", *extra) == 2
+    # --cells takes the list of grid sizes; --cells-list is no option
+    assert run_cli("sweep", "--cells-list", "1e6") == 2
+    assert "unrecognized arguments: --cells-list 1e6" in capsys.readouterr().err
+    assert run_cli("sweep", "--cells", "1e6", "--grid", "8x8x8") == 2
+    assert "give either --grid or --cells, not both" in capsys.readouterr().err
+    # legal parameter files the model cannot evaluate, and a file that is not
+    # UTF-8 text: one error line each, never a traceback
+    for name, text, argv, message in (
+            ("bad.params", b"\xff\xfe", ("validate",), "bad.params: not UTF-8 text"),
+            ("slow.params", b"memory.eff_bandwidth_1 = 1e-300\n", ("validate",),
+             "seconds = inf must be finite"),
+            ("shared.params", b"memory.contention = 1e-300\n", ("validate",),
+             "float division by zero"),
+            ("shared.params", b"memory.contention = 1e-300\n",
+             ("sweep", "--cells", "268.3e6", "--engines", "12"), "float division by zero")):
+        path = tmp_path / name
+        path.write_bytes(text)
+        assert run_cli(*argv, "--params", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[-1].startswith("pwadvect: error: ") and message in lines[-1]
+        assert not any("Traceback" in line for line in lines)
     # options that reached no result: bench loads no parameters, and
     # calibrate writes a parameter file, not report rows
     assert run_cli("bench", "--grid", "4x4x4", "--params", "x") == 2
@@ -424,7 +467,7 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli("bench", "--grid", "4x4x4", "--engines", "0") == 2
     assert run_cli("bench", "--grid", "4x4x4", "--y-batch", "0") == 2
     # an explicit y_batch above ny; only the default of 64 shrinks to fit
-    for schedule in ("ybatched", "xreordered"):
+    for schedule in ("y_batched", "x_reordered"):
         assert run_cli("bench", "--grid", "8x64x8", "--schedule", schedule,
                        "--y-batch", "128") == 2
 

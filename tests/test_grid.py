@@ -73,7 +73,7 @@ def test_uniform_fill_including_halos():
     assert np.all(fs0.u.data == 0.0)
 
 
-@pytest.mark.parametrize("spec", [GeneratorSpec.trig(), GeneratorSpec.random(3)])
+@pytest.mark.parametrize("spec", [GeneratorSpec.uniform(1.5, -2.0, 0.25), GeneratorSpec.random(3)])
 def test_halos_are_periodic_wrap(spec):
     dims = GridDims(5, 3, 4)
     for f in fill_fields(dims, spec).u, fill_fields(dims, spec).w:
@@ -392,8 +392,9 @@ def test_field_and_source_sets_reject_mismatched_dims(make, odd):
 
 
 def test_generator_spec_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="unknown generator mode 'bogus'"):
-        GeneratorSpec("bogus")
+    for mode in ("bogus", "trig"):
+        with pytest.raises(ValueError, match=f"unknown generator mode '{mode}'"):
+            GeneratorSpec(mode)
 
 
 def _counts(top):

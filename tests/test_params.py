@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pwadvect.dataflow import MemoryModel, PipelineSpec
 from pwadvect.params import (
-    ENV_VAR,
     KNOWN_KEYS,
     ModelParams,
     ParamError,
@@ -21,7 +20,11 @@ from pwadvect.refdata import GRID_STRATUS
 from pwadvect.transfer import DmaConfig, end_to_end
 
 
-def test_defaults_without_file():
+def test_defaults_without_file(tmp_path, monkeypatch):
+    # only an explicit path names a file; the environment changes nothing
+    f = tmp_path / "env.params"
+    f.write_text("model.y_batch = 16\n")
+    monkeypatch.setenv("PWADVECT_PARAMS", str(f))
     p = load_params()
     assert p.pipeline.depth == 72 and p.pipeline.ii == 1
     assert p.pipeline.clock_hz == 310e6
@@ -56,6 +59,9 @@ def test_file_overrides(tmp_path):
     assert p.pipeline.depth == 65
     assert p.memory.contention == 0.5
     assert p.pipeline.clock_hz == 310e6  # untouched keys keep defaults
+    g = tmp_path / "explicit.params"
+    g.write_text("model.y_batch = 8\n")
+    assert load_params(g).y_batch == 8
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -80,17 +86,6 @@ def test_malformed_line_rejected():
         parse_params_text("pipeline.depth 65")
     with pytest.raises(ParamError, match="bad value"):
         parse_params_text("pipeline.depth = deep")
-
-
-def test_env_var_supplies_default_path(tmp_path, monkeypatch):
-    f = tmp_path / "env.params"
-    f.write_text("model.y_batch = 16\n")
-    monkeypatch.setenv(ENV_VAR, str(f))
-    assert load_params().y_batch == 16
-    # explicit path wins over the environment
-    g = tmp_path / "explicit.params"
-    g.write_text("model.y_batch = 8\n")
-    assert load_params(g).y_batch == 8
 
 
 def test_dump_load_round_trip(tmp_path):
