@@ -1,6 +1,8 @@
 """Command-line harness: bench, sweep (also named model), calibrate, validate.
 
-Exit codes: 0 success, 1 validation or benchmark failure, 2 usage error.
+Exit codes: 0 success, 1 validation or benchmark failure, 2 usage error: a
+bad option, parameter file, configuration or file name, reported as the usage
+of the subcommand that got it and one error line.
 Report files are CSV (frozen column order, header row) or JSON mirrors of
 the same rows; reruns of one config differ only in timing fields and host
 metadata. A parameter file is named only by --params.
@@ -15,7 +17,6 @@ import json
 import platform
 import statistics
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from functools import cache
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 from .dataflow import calibrate, check_observation, kernel_time, pipeline_cycles, pipeline_latency
 from .grid import GeneratorSpec, GridDims, check_config, check_count, checksums, fill_fields
 from .kernel import default_coefficients, evaluator
-from .params import ModelParams, ParamError, dump_params, load_params
+from .params import ModelParams, dump_params, load_params
 from .refdata import (
     BATCH_ELEMENTS, BATCHED_PIPE, COLUMN_LENGTH, COLUMN_PIPE, DATA_SOURCE, DMA_FRACTION_FLOOR,
     DMA_TABLE, DMA_TABLE_BYTES, EXTRACTED_PIPE, GRID_LADDER, GRID_LARGEST, GRID_STRATUS,
@@ -84,24 +85,6 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _load(args, parser) -> ModelParams:
-    try:
-        return load_params(args.params)
-    except (ParamError, OSError) as exc:
-        parser.error(str(exc))
-
-
-@contextmanager
-def _usage_errors(parser):
-    """Report a ValueError from a configuration check, an ArithmeticError from a
-    model that legal parameters overflow or zero, or an OSError from writing an
-    --out file, as exit 2."""
-    try:
-        yield
-    except (ValueError, ArithmeticError, OSError) as exc:
-        parser.error(str(exc))
-
-
 def _report(p: ModelParams, dims, engines: int):
     return end_to_end(dims, engines, p.pipeline, p.memory, p.dma, p.y_batch, p.flops,
                       p.controllers)
@@ -122,25 +105,25 @@ def _model_row(p: ModelParams, dims, engines: int) -> dict:
 
 # -- bench -------------------------------------------------------------------
 
-def cmd_bench(args, parser) -> int:
-    with _usage_errors(parser):
-        check_count("--reps", args.reps)
-    dims = args.grid
+def cmd_bench(args) -> int:
+    dims = args.grid  # --reps and every schedule are checked before the first field exists
+    check_count("--reps", args.reps)
+    # the default y_batch shrinks to fit ny; an explicit one must fit already
+    y_batch = min(64, dims.ny) if args.y_batch is None else args.y_batch
+    specs = [ScheduleSpec(v, y_batch=y_batch, engines=args.engines)
+             for v in args.schedule or ["reference"]]
+    for spec in specs:
+        spec.validate(dims)
     gen = {"uniform": GeneratorSpec.uniform(1.0, 1.1, 0.9),
            "random": GeneratorSpec.random(args.seed)}[args.gen]
     try:
         fields = fill_fields(dims, gen)
     except (ValueError, MemoryError) as exc:  # numpy: "array is too big", "Unable to allocate"
-        parser.error(f"cannot allocate the {dims.nx}x{dims.ny}x{dims.nz} fields: {exc}")
+        raise ValueError(f"cannot allocate the {dims.nx}x{dims.ny}x{dims.nz} fields: {exc}")
     coeffs = default_coefficients(dims.nz)
     rows, failures = [], []
     host = _host_description()
-    # the default y_batch shrinks to fit ny; an explicit one must fit already
-    y_batch = min(64, dims.ny) if args.y_batch is None else args.y_batch
-    for variant in args.schedule or ["reference"]:
-        with _usage_errors(parser):
-            spec = ScheduleSpec(variant, y_batch=y_batch, engines=args.engines)
-            spec.validate(dims)
+    for spec in specs:
         walls, sums, traffic = [], None, None
         for _ in range(args.reps):
             out, tc, wall = run_schedule(fields, coeffs, spec)
@@ -149,11 +132,11 @@ def cmd_bench(args, parser) -> int:
             if sums is None:
                 sums, traffic = digest, tc
             elif sums != digest:
-                failures.append(f"{variant}: checksum changed between repetitions")
+                failures.append(f"{spec.variant}: checksum changed between repetitions")
             elif traffic != tc:
-                failures.append(f"{variant}: traffic counters changed between repetitions")
+                failures.append(f"{spec.variant}: traffic counters changed between repetitions")
         rows.append({
-            "schedule": variant, "engines": spec.engines, "y_batch": spec.y_batch,
+            "schedule": spec.variant, "engines": spec.engines, "y_batch": spec.y_batch,
             "nx": dims.nx, "ny": dims.ny, "nz": dims.nz, "reps": args.reps,
             "wall_min_s": min(walls), "wall_mean_s": statistics.fmean(walls),
             "wall_all_s": ";".join(f"{w:.6g}" for w in walls),
@@ -163,8 +146,7 @@ def cmd_bench(args, parser) -> int:
     digests = {(r["checksum_su"], r["checksum_sv"], r["checksum_sw"]) for r in rows}
     if len(digests) > 1:
         failures.append("schedules disagree on output checksums")
-    with _usage_errors(parser):
-        _write_rows(rows, BENCH_COLUMNS, args.out, args.format)
+    _write_rows(rows, BENCH_COLUMNS, args.out, args.format)
     for msg in failures:
         print(f"FAIL {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -182,16 +164,11 @@ def _list_parser(cast):
     return parse
 
 
-def cmd_sweep(args, parser) -> int:
-    p = _load(args, parser)
-    if args.grid is not None and args.cells is not None:
-        parser.error("give either --grid or --cells, not both")
-    if args.grid is None and args.cells is None:
-        parser.error("one of --grid or --cells is required")
-    with _usage_errors(parser):
-        grids = [args.grid] if args.cells is None else [factor_cells(c) for c in args.cells]
-        rows = [_model_row(p, dims, engines) for dims in grids for engines in args.engines]
-        _write_rows(rows, MODEL_COLUMNS, args.out, args.format)
+def cmd_sweep(args) -> int:
+    p = load_params(args.params)
+    grids = [args.grid] if args.cells is None else [factor_cells(c) for c in args.cells]
+    rows = [_model_row(p, dims, engines) for dims in grids for engines in args.engines]
+    _write_rows(rows, MODEL_COLUMNS, args.out, args.format)
     return 0
 
 
@@ -205,8 +182,8 @@ def _builtin_observations(p: ModelParams):
     ]
 
 
-def cmd_calibrate(args, parser) -> int:
-    p = _load(args, parser)
+def cmd_calibrate(args) -> int:
+    p = load_params(args.params)
     if args.obs:
         try:
             raw = json.loads(Path(args.obs).read_text())
@@ -215,12 +192,11 @@ def cmd_calibrate(args, parser) -> int:
             for observation in observations:
                 check_observation(*observation)  # y_batch: below, for every observation
         except (OSError, ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"bad observations file {args.obs}: {exc}")
+            raise ValueError(f"bad observations file {args.obs}: {exc}")
     else:
         observations = _builtin_observations(p)
-    with _usage_errors(parser):
-        for dims, _, _ in observations:
-            _check_y_batch(p, dims)
+    for dims, _, _ in observations:
+        _check_y_batch(p, dims)
     try:
         result = calibrate(observations, p.pipeline, p.y_batch, p.controllers, base=p.memory)
     except ValueError as exc:
@@ -232,8 +208,7 @@ def cmd_calibrate(args, parser) -> int:
         print(f"  obs {dims.nx}x{dims.ny}x{dims.nz} engines={engines} "
               f"observed={seconds:.6g}s residual={resid:+.3e}")
     if args.out:
-        with _usage_errors(parser):
-            Path(args.out).write_text(dump_params(replace(p, memory=result.model)))
+        Path(args.out).write_text(dump_params(replace(p, memory=result.model)))
         print(f"wrote fitted parameters to {args.out}")
     return 0
 
@@ -315,10 +290,8 @@ def _validation_checks(p: ModelParams):
            monotone, f"got {', '.join(f'{f:.3f}' for f in fractions)}", cite)
 
 
-def cmd_validate(args, parser) -> int:
-    p = _load(args, parser)
-    with _usage_errors(parser):
-        checks = list(_validation_checks(p))
+def cmd_validate(args) -> int:
+    checks = list(_validation_checks(load_params(args.params)))
     print(f"validating against: {DATA_SOURCE}")
     failures = 0
     for name, ok, detail, citation in checks:
@@ -356,19 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--reps", type=int, default=5)
     _add_output_args(bench)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, parser=bench)
 
     sweep = subs.add_parser("sweep", aliases=["model"],
                             help="predict kernel/DMA/total time over grid sizes and engine counts")
-    sweep.add_argument("--grid", type=_parse_grid, metavar="NXxNYxNZ")
-    sweep.add_argument("--cells", type=_list_parser(float), metavar="N1,N2,...",
+    grids = sweep.add_mutually_exclusive_group(required=True)
+    grids.add_argument("--grid", type=_parse_grid, metavar="NXxNYxNZ")
+    grids.add_argument("--cells", type=_list_parser(float), metavar="N1,N2,...",
                        help="cell counts; a cube-ish grid is derived from each")
     sweep.add_argument("--engines", type=_list_parser(int), default=[1],
                        metavar="E1,E2,...", help="engine counts; one row per grid and count")
     sweep.add_argument("--params", metavar="FILE",
                        help="parameter file (see model-defaults.params)")
     _add_output_args(sweep)
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, parser=sweep)
 
     cal = subs.add_parser("calibrate", help="fit bandwidth/contention to observed kernel times")
     cal.add_argument("--obs", metavar="FILE",
@@ -376,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
                           " default: built-in published anchors")
     cal.add_argument("--params", metavar="FILE", help="parameter file (see model-defaults.params)")
     cal.add_argument("--out", metavar="FILE", help="write the fitted parameter file to FILE")
-    cal.set_defaults(func=cmd_calibrate)
+    cal.set_defaults(func=cmd_calibrate, parser=cal)
 
     val = subs.add_parser("validate", help="check every published-anchor identity; exit 0 iff all hold")
     val.add_argument("--params", metavar="FILE")
-    val.set_defaults(func=cmd_validate)
+    val.set_defaults(func=cmd_validate, parser=val)
     return parser
 
 
@@ -393,9 +367,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args, extras = _parser().parse_known_args(argv)
+    if extras:  # parse_args would report them under the top-level usage
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # ParamError and the configuration checks are ValueErrors; a file raises OSError
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

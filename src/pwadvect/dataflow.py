@@ -101,9 +101,18 @@ def kernel_memory_bytes(dims: GridDims, mem: MemoryModel, y_batch: int) -> int:
 
 def kernel_memory_seconds(dims: GridDims, mem: MemoryModel, y_batch: int,
                           engines_on_controller: int = 1) -> float:
-    """Serialized SDRAM phase time for one engine's share of the grid."""
+    """Serialized SDRAM phase time for one engine's share of the grid.
+    ValueError when legal parameters underflow the derated bandwidth to 0 or
+    overflow the time to inf."""
     bw = mem.eff_bandwidth_1 * mem.contention ** (engines_on_controller - 1)
-    return kernel_memory_bytes(dims, mem, y_batch) / bw
+    seconds = kernel_memory_bytes(dims, mem, y_batch) / bw if bw else math.inf
+    if seconds < math.inf:
+        return seconds
+    raise ValueError(
+        f"no finite memory time at {engines_on_controller} engine(s) per controller: "
+        f"eff_bandwidth_1 * contention ** {engines_on_controller - 1} = "
+        f"{mem.eff_bandwidth_1!r} * {mem.contention!r} ** {engines_on_controller - 1} "
+        f"= {bw!r} B/s")
 
 
 def _slowest_engine(dims: GridDims, spec: PipelineSpec, y_batch: int, engines: int,

@@ -1,7 +1,8 @@
 """The CLI transcript corpus: what every case of `CASES` prints, and exits with.
 
     python tests/make_transcripts.py           # rewrite tests/cli_transcripts.json
-    python tests/make_transcripts.py --check   # compare; list changed entries, exit 1 if any
+    python tests/make_transcripts.py --check   # compare; list changed entries and
+                                               # their changed fields, exit 1 if any
 
 Each entry of the corpus holds a case's argv, the files and environment it
 runs with, its exit code, stdout and stderr. `run` executes a case
@@ -249,7 +250,11 @@ def main(argv=None) -> int:
     changed = [name for name in new if old.get(name) != new[name]]
     gone = [name for name in old if name not in new]
     for name in changed:
-        print(f"{'changed' if name in old else 'new'}: {name}")
+        if name in old:
+            moved = ", ".join(k for k in new[name] if old[name].get(k) != new[name][k])
+            print(f"changed [{moved}]: {name}")
+        else:
+            print(f"new: {name}")
     for name in gone:
         print(f"removed: {name}")
     return 1 if changed or gone else 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pwadvect import cli
 from pwadvect.cli import _list_parser, _parse_grid, main
-from pwadvect.grid import check_config
+from pwadvect.grid import GridDims, check_config
 from pwadvect.params import ModelParams
 from pwadvect.refdata import HEADLINE
 
@@ -241,6 +241,20 @@ def test_bench_rejects_bad_schedule(capsys):
             "'column_buffered', 'y_batched', 'x_reordered')\n")
 
 
+def test_bench_checks_every_schedule_before_it_works(monkeypatch, capsys):
+    # a bad second schedule is found before any field exists or any schedule runs
+    monkeypatch.setattr(cli, "fill_fields", lambda dims, spec: pytest.fail("fields generated"))
+    monkeypatch.setattr(cli, "run_schedule", lambda *args: pytest.fail("schedule run"))
+    for argv, (dims, engines, y_batch) in (
+            (("--grid", "8x64x8", "--schedule", "reference", "--schedule", "y_batched",
+              "--y-batch", "128"), ((8, 64, 8), 1, 128)),
+            (("--grid", "4x4x4", "--engines", "5"), ((4, 4, 4), 5, 4))):
+        with pytest.raises(ValueError) as rule:
+            check_config(GridDims(*dims), engines, y_batch)
+        assert run_cli("bench", *argv) == 2
+        assert capsys.readouterr().err.endswith(f"\npwadvect bench: error: {rule.value}\n")
+
+
 def test_bench_reports_are_deterministic_modulo_timing(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -407,27 +421,33 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         assert "y_batch must be in 1..ny=" in (err := capsys.readouterr().err)
         assert "(parameter-file key model.y_batch)" in err
     # --cells takes the list of grid sizes; --cells-list is no option
-    assert run_cli("sweep", "--cells-list", "1e6") == 2
+    assert run_cli("sweep", "--grid", "8x8x8", "--cells-list", "1e6") == 2
     assert "unrecognized arguments: --cells-list 1e6" in capsys.readouterr().err
+    # exactly one of --grid and --cells, which argparse checks before extra arguments
+    assert run_cli("sweep", "--cells-list", "1e6") == 2
+    assert "one of the arguments --grid --cells is required" in capsys.readouterr().err
     assert run_cli("sweep", "--cells", "1e6", "--grid", "8x8x8") == 2
-    assert "give either --grid or --cells, not both" in capsys.readouterr().err
+    assert "argument --grid: not allowed with argument --cells" in capsys.readouterr().err
     # legal parameter files the model cannot evaluate, and a file that is not
     # UTF-8 text: one error line each, never a traceback
     for name, text, argv, message in (
             ("bad.params", b"\xff\xfe", ("validate",), "bad.params: not UTF-8 text"),
             ("slow.params", b"memory.eff_bandwidth_1 = 1e-300\n", ("validate",),
-             "seconds = inf must be finite"),
+             "no finite memory time at 1 engine(s) per controller: eff_bandwidth_1"
+             " * contention ** 0 = 1e-300 * "),
             ("shared.params", b"memory.contention = 1e-300\n", ("validate",),
-             "float division by zero"),
+             "no finite memory time at 6 engine(s) per controller: eff_bandwidth_1"
+             " * contention ** 5 = "),
             ("shared.params", b"memory.contention = 1e-300\n",
-             ("sweep", "--cells", "268.3e6", "--engines", "12"), "float division by zero")):
+             ("sweep", "--cells", "268.3e6", "--engines", "12"),
+             " * 1e-300 ** 5 = 0.0 B/s")):
         path = tmp_path / name
         path.write_bytes(text)
         assert run_cli(*argv, "--params", str(path)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert lines[-1].startswith("pwadvect: error: ") and message in lines[-1]
+        assert lines[-1].startswith(f"pwadvect {argv[0]}: error: ") and message in lines[-1]
         assert not any("Traceback" in line for line in lines)
     # options that reached no result: bench loads no parameters, and
     # calibrate writes a parameter file, not report rows
