@@ -42,7 +42,9 @@ for row, ms in ladder_model_ms(params.memory):
 
 # Where the time goes at the final row: the SDRAM phase dominates.
 compute_only = kernel_time(GRID_LADDER, params.pipeline,
-                           MemoryModel(eff_bandwidth_1=1e30), 64, 1)
-total = kernel_time(GRID_LADDER, params.pipeline, params.memory, params.y_batch, 1)
+                           MemoryModel(eff_bandwidth_1=1e30), params.y_batch, 1,
+                           params.controllers)
+total = kernel_time(GRID_LADDER, params.pipeline, params.memory, params.y_batch, 1,
+                    params.controllers)
 print(f"\nfinal row split: compute {compute_only*1e3:.1f} ms, "
       f"memory {1e3*(total-compute_only):.1f} ms of {total*1e3:.1f} ms total")

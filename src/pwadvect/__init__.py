@@ -21,7 +21,6 @@ from .grid import (
 )
 from .kernel import (
     AdvectionCoefficients,
-    FlopProfile,
     advect_point_u,
     advect_point_v,
     advect_point_w,
@@ -58,5 +57,6 @@ from .transfer import (
     transfer_volume,
 )
 from .params import ModelParams, load_params
+from .refdata import FlopProfile
 
 __version__ = "0.1.0"

@@ -28,11 +28,11 @@ from .grid import GeneratorSpec, GridDims, check_config, check_count, checksums,
 from .kernel import default_coefficients, evaluator
 from .params import ModelParams, dump_params, load_params
 from .refdata import (
-    BATCH_ELEMENTS, BATCHED_PIPE, COLUMN_LENGTH, COLUMN_PIPE, DATA_SOURCE, DMA_FRACTION_FLOOR,
-    DMA_TABLE, DMA_TABLE_BYTES, EXTRACTED_PIPE, GRID_LADDER, GRID_LARGEST, GRID_STRATUS,
-    HEADLINE, RETIMED_PIPE, ReferenceValue,
+    BATCH_ELEMENTS, BATCHED_PIPE, CALIBRATION_OBSERVATIONS, COLUMN_LENGTH, COLUMN_PIPE,
+    DATA_SOURCE, DMA_FRACTION_FLOOR, DMA_TABLE, DMA_TABLE_BYTES, EXTRACTED_PIPE, GRID_LADDER,
+    GRID_LARGEST, GRID_STRATUS, HEADLINE, RETIMED_PIPE, ReferenceValue,
 )
-from .schedules import VARIANTS, ScheduleSpec, run_schedule
+from .schedules import VARIANTS, ScheduleSpec, TrafficReport, run_schedule
 from .transfer import ModelReport, dma_time, end_to_end, factor_cells, transfer_volume
 
 MODEL_COLUMNS = ("cells", "nx", "ny", "nz",
@@ -40,8 +40,7 @@ MODEL_COLUMNS = ("cells", "nx", "ny", "nz",
 BENCH_COLUMNS = ("schedule", "engines", "y_batch", "nx", "ny", "nz", "reps",
                  "wall_min_s", "wall_mean_s", "wall_all_s",
                  "checksum_su", "checksum_sv", "checksum_sw",
-                 "external_reads", "external_writes", "local_reads", "local_writes",
-                 "scratch_bytes_peak", "kernel", "host")
+                 *(f.name for f in fields(TrafficReport)), "kernel", "host")
 
 def _parse_grid(text: str):
     try:
@@ -49,10 +48,6 @@ def _parse_grid(text: str):
         return GridDims(nx, ny, nz)
     except Exception as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r} (want NXxNYxNZ): {exc}")
-
-
-def _host_description() -> str:
-    return f"{platform.platform()} python{platform.python_version()} numpy{np.__version__}"
 
 
 def _write_rows(rows, columns, out: str | None, fmt: str | None) -> None:
@@ -114,6 +109,8 @@ def cmd_bench(args) -> int:
              for v in args.schedule or ["reference"]]
     for spec in specs:
         spec.validate(dims)
+    if args.out is not None:  # so is the report file: opened now, its rows written at the end
+        Path(args.out).open("a").close()
     gen = {"uniform": GeneratorSpec.uniform(1.0, 1.1, 0.9),
            "random": GeneratorSpec.random(args.seed)}[args.gen]
     try:
@@ -122,7 +119,7 @@ def cmd_bench(args) -> int:
         raise ValueError(f"cannot allocate the {dims.nx}x{dims.ny}x{dims.nz} fields: {exc}")
     coeffs = default_coefficients(dims.nz)
     rows, failures = [], []
-    host = _host_description()
+    host = f"{platform.platform()} python{platform.python_version()} numpy{np.__version__}"
     for spec in specs:
         walls, sums, traffic = [], None, None
         for _ in range(args.reps):
@@ -174,14 +171,6 @@ def cmd_sweep(args) -> int:
 
 # -- calibrate ----------------------------------------------------------------
 
-def _builtin_observations(p: ModelParams):
-    t_large = GRID_LARGEST.cells * p.flops.total_per_cell / (HEADLINE["gflops_kernel"].value * 1e9)
-    return [
-        (GRID_LADDER, 1, HEADLINE["ladder_final_ms"].value / 1e3),
-        (GRID_LARGEST, 12, t_large),
-    ]
-
-
 def cmd_calibrate(args) -> int:
     p = load_params(args.params)
     if args.obs:
@@ -194,7 +183,7 @@ def cmd_calibrate(args) -> int:
         except (OSError, ValueError, KeyError, TypeError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"bad observations file {args.obs}: {exc}")
     else:
-        observations = _builtin_observations(p)
+        observations = CALIBRATION_OBSERVATIONS
     for dims, _, _ in observations:
         _check_y_batch(p, dims)
     try:
@@ -368,8 +357,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args, extras = _parser().parse_known_args(argv)
-    if extras:  # parse_args would report them under the top-level usage
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if extras:  # parse_args would report them all under the top-level usage
+        argv = sys.argv[1:] if argv is None else argv
+        early = argv[:argv.index(args.command)]  # the top level takes no option but -h
+        (_parser() if early else args.parser).error(
+            f"unrecognized arguments: {' '.join(early or extras)}")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import GridDims, check_config, check_count, check_positive
-from .kernel import FlopProfile
+
+if TYPE_CHECKING:  # refdata imports this module
+    from .refdata import FlopProfile
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def _slowest_engine(dims: GridDims, spec: PipelineSpec, y_batch: int, engines: i
 
 
 def kernel_time(dims: GridDims, spec: PipelineSpec, mem: MemoryModel,
-                y_batch: int, engines: int = 1, controllers: int = 2) -> float:
+                y_batch: int, engines: int, controllers: int) -> float:
     """Modeled wall seconds for the kernel phase (no host transfers).
 
     Engines are spread as evenly as possible over the memory controllers;
@@ -162,7 +165,7 @@ class CalibrationResult:
 
 
 def calibrate(observations, spec: PipelineSpec, y_batch: int,
-              controllers: int = 2, base: MemoryModel | None = None) -> CalibrationResult:
+              controllers: int, base: MemoryModel) -> CalibrationResult:
     """Fit (eff_bandwidth_1, contention) to observed kernel times.
 
     observations: iterable of (dims, engines, seconds), each held to
@@ -171,8 +174,8 @@ def calibrate(observations, spec: PipelineSpec, y_batch: int,
     the fit is least squares in log space (first-order relative error).
     Needs observations spanning at least two controller group sizes,
     otherwise the system is singular, and a fitted contention of at most 1.
+    The fit replaces base's bandwidth and contention and keeps its other fields.
     """
-    base = base or MemoryModel(eff_bandwidth_1=1.0)
     obs = list(observations)
     if len(obs) < 2:
         raise ValueError("need at least two observations")

@@ -58,18 +58,6 @@ def default_coefficients(nz: int, value: float = 0.25) -> AdvectionCoefficients:
     return AdvectionCoefficients(value, value, np.full(nz, value), np.full(nz, value))
 
 
-@dataclass(frozen=True)
-class FlopProfile:
-    """Per-cell operation credit used for GFLOP/s accounting (53 = 21 + 32)."""
-
-    adds_per_cell: int = 21
-    muls_per_cell: int = 32
-
-    @property
-    def total_per_cell(self) -> int:
-        return self.adds_per_cell + self.muls_per_cell
-
-
 # ---------------------------------------------------------------------------
 # The formulas. Operand names encode the stencil offset relative to the
 # output point: xm1/xp1 for i-1/i+1, jm1/jp1 for j-1/j+1, km1/kp1 for the

@@ -20,12 +20,11 @@ from pathlib import Path
 
 from .dataflow import MemoryModel, PipelineSpec
 from .grid import check_count
-from .kernel import FlopProfile
-from .refdata import TUNED_PIPE
+from .refdata import TUNED_PIPE, FlopProfile
 from .transfer import DmaConfig
 
-# Two-point calibration output (see docs/model-notes.md section 4); frozen so
-# shipped behaviour does not depend on re-running the fit.
+# The fit of `dataflow.calibrate` to `refdata.CALIBRATION_OBSERVATIONS`, frozen
+# so shipped behaviour does not depend on re-running it (model-notes section 4).
 CALIBRATED_BANDWIDTH = 1751318500.2052839
 CALIBRATED_CONTENTION = 0.923064649982371
 
@@ -52,7 +51,7 @@ class ModelParams:
         check_count("controllers", self.controllers)
 
     @property
-    def flops(self) -> FlopProfile:  # the published op credit: a fact, not a parameter
+    def flops(self) -> FlopProfile:  # the published op credit: a refdata fact, not a parameter
         return _FLOPS
 
 

@@ -10,6 +10,7 @@ subset used as acceptance anchors is exercised by `pwadvect.cli` validate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .dataflow import MemoryModel, PipelineSpec, kernel_time
 from .grid import GridDims
@@ -91,15 +92,24 @@ OPTIMISATION_LADDER = _ladder(
 
 def ladder_model_ms(mem: MemoryModel) -> list[tuple[LadderRow, float]]:
     """Modeled kernel time (ms) on GRID_LADDER, the grid of the measured
-    times, for each regime-bearing ladder row."""
+    times, on one engine (so one controller group), per regime-bearing row."""
     out = []
     for row in OPTIMISATION_LADDER:
         if not row.modeled:
             continue
         row_mem = replace(mem, eff_bandwidth_1=mem.eff_bandwidth_1 * row.access_efficiency,
                           arrays_per_xstep=row.planes)
-        out.append((row, kernel_time(GRID_LADDER, row.pipe, row_mem, row.y_batch, engines=1) * 1e3))
+        out.append((row, kernel_time(GRID_LADDER, row.pipe, row_mem, row.y_batch, 1, 1) * 1e3))
     return out
+
+
+@dataclass(frozen=True)
+class FlopProfile:
+    """The published per-cell op credit behind GFLOP/s; a fact, so it has no fields."""
+
+    adds_per_cell: ClassVar[int] = 21
+    muls_per_cell: ClassVar[int] = 32
+    total_per_cell: ClassVar[int] = adds_per_cell + muls_per_cell
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,13 @@ HEADLINE = {
     "cpu_broadwell_gflops": ReferenceValue(
         17.75, 0.0, "scaling note: CPU comparison point, display only"),
 }
+
+# The two published kernel times `calibrate` fits by default (model-notes section 4).
+CALIBRATION_OBSERVATIONS = (
+    (GRID_LADDER, 1, HEADLINE["ladder_final_ms"].value / 1e3),
+    (GRID_LARGEST, 12,
+     GRID_LARGEST.cells * FlopProfile.total_per_cell / (HEADLINE["gflops_kernel"].value * 1e9)),
+)
 
 # The published 70% DMA share is checked as a floor, not within a tolerance.
 DMA_FRACTION_FLOOR = 0.65

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .grid import GridDims, check_positive
-from .kernel import FlopProfile
 from .dataflow import MemoryModel, PipelineSpec, gflops, kernel_time
-from .refdata import DMA_TABLE, DMA_TABLE_BYTES
+from .refdata import DMA_TABLE, DMA_TABLE_BYTES, FlopProfile
 
 # Bytes/s of each interconnect wiring of the measured card, from its
 # measured time for a DMA_TABLE_BYTES host-to-card copy.
@@ -43,7 +42,7 @@ def transfer_volume(dims: GridDims, direction: str = "both") -> int:
     return 2 * one_way if direction == "both" else one_way
 
 
-def dma_time(nbytes: float, config: DmaConfig, topology: str = "split_banks_4ch") -> float:
+def dma_time(nbytes: float, config: DmaConfig, topology: str) -> float:
     """Seconds to move nbytes, finite and >= 0; topology may also be "end_to_end"."""
     if not 0 <= nbytes < math.inf:
         raise ValueError(f"nbytes = {nbytes} must be finite and >= 0")
@@ -69,8 +68,8 @@ class ModelReport:
 
 
 def end_to_end(dims: GridDims, engines: int, pipeline: PipelineSpec,
-               mem: MemoryModel, dma: DmaConfig, y_batch: int = 64,
-               profile: FlopProfile = FlopProfile(), controllers: int = 2) -> ModelReport:
+               mem: MemoryModel, dma: DmaConfig, y_batch: int,
+               profile: FlopProfile, controllers: int) -> ModelReport:
     """Compose kernel-time and DMA models into one predicted breakdown."""
     kern = kernel_time(dims, pipeline, mem, y_batch, engines, controllers)
     xfer = dma_time(transfer_volume(dims, "both"), dma, "end_to_end")
@@ -88,9 +87,8 @@ def end_to_end(dims: GridDims, engines: int, pipeline: PipelineSpec,
 
 
 def scaling_table(dims: GridDims, engine_list, pipeline: PipelineSpec,
-                  mem: MemoryModel, dma: DmaConfig, y_batch: int = 64,
-                  profile: FlopProfile = FlopProfile(),
-                  controllers: int = 2) -> list[ModelReport]:
+                  mem: MemoryModel, dma: DmaConfig, y_batch: int,
+                  profile: FlopProfile, controllers: int) -> list[ModelReport]:
     """One ModelReport per engine count; DMA time is constant across rows."""
     engine_list = list(engine_list)
     if not engine_list:

@@ -117,6 +117,7 @@ def _cases():
     # usage errors
     yield (), {}
     yield ("frobnicate",), {}
+    yield ("--foo", "validate"), {}
     yield ("bench",), {}
     yield ("bench", "--grid", "not-a-grid"), {}
     yield ("bench", "--grid", "99999999x99999999x99999999"), {}

@@ -24,7 +24,7 @@ from pwadvect.dataflow import (
     pipeline_latency,
 )
 from pwadvect.grid import GeneratorSpec, GridDims, fill_fields, wrap_halos, FieldSet
-from pwadvect.kernel import FlopProfile, default_coefficients, run_reference
+from pwadvect.kernel import default_coefficients, run_reference
 from pwadvect.params import ModelParams
 from pwadvect.refdata import GRID_LADDER, GRID_LARGEST, GRID_STRATUS
 from pwadvect.schedules import ScheduleSpec, compare_outputs, run_schedule
@@ -71,7 +71,8 @@ def test_criterion_4_dma_table_exact():
 
 
 def test_criterion_5_calibrated_kernel_model():
-    t = kernel_time(GRID_LADDER, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 1)
+    t = kernel_time(GRID_LADDER, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 1,
+                    PARAMS.controllers)
     assert t == pytest.approx(0.5149, rel=0.05)
     rep = end_to_end(GRID_LARGEST, 12, PARAMS.pipeline, PARAMS.memory, PARAMS.dma,
                      PARAMS.y_batch, PARAMS.flops, PARAMS.controllers)
@@ -198,11 +199,11 @@ def test_criterion_9_traffic_instrumentation():
 def test_criterion_10_calibration_round_trip():
     truth = MemoryModel(eff_bandwidth_1=3.14e9, contention=0.8)
     pipe = PipelineSpec(70, 1, 300e6)
-    obs = [(dims, engines, kernel_time(dims, pipe, truth, 32, engines))
+    obs = [(dims, engines, kernel_time(dims, pipe, truth, 32, engines, PARAMS.controllers))
            for dims, engines in ((GridDims(128, 128, 32), 1),
                                  (GridDims(512, 256, 32), 4),
                                  (GridDims(768, 512, 32), 9))]
-    fitted = calibrate(obs, pipe, 32).model
+    fitted = calibrate(obs, pipe, 32, PARAMS.controllers, PARAMS.memory).model
     assert abs(fitted.eff_bandwidth_1 - truth.eff_bandwidth_1) / truth.eff_bandwidth_1 <= 1e-6
     assert abs(fitted.contention - truth.contention) / truth.contention <= 1e-6
     _ok(10, "calibration round-trip: generating parameters recovered to 1e-6 relative")

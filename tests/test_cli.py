@@ -255,6 +255,23 @@ def test_bench_checks_every_schedule_before_it_works(monkeypatch, capsys):
         assert capsys.readouterr().err.endswith(f"\npwadvect bench: error: {rule.value}\n")
 
 
+def test_bench_checks_its_out_file_before_it_works(tmp_path, monkeypatch, capsys):
+    # a report file that cannot be opened is found before any field exists
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "fill_fields", lambda dims, spec: pytest.fail("fields generated"))
+        assert run_cli("bench", "--grid", "256x64x64", "--schedule", "reference",
+                       "--schedule", "x_reordered", "--out", str(missing)) == 2
+    assert capsys.readouterr().err.endswith(
+        f"\npwadvect bench: error: [Errno 2] No such file or directory: '{missing}'\n")
+    # a file that can be opened is left whole until the run writes its rows over it
+    out = tmp_path / "x.csv"
+    out.write_text("old rows\n")
+    assert run_cli("bench", "--grid", "4x4x4", "--reps", "1", "--out", str(out)) == 0
+    assert out.read_text().startswith(",".join(cli.BENCH_COLUMNS) + "\n")
+    assert "old rows" not in out.read_text()
+
+
 def test_bench_reports_are_deterministic_modulo_timing(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -370,6 +387,19 @@ def test_calibrate_degenerate_observations(tmp_path, capsys):
     ]))
     assert run_cli("calibrate", "--obs", str(obs)) == 1
     assert "contention > 1" in capsys.readouterr().err
+
+
+def test_unrecognized_arguments_are_the_errors_of_the_parser_they_reached(capsys):
+    # the top-level parser takes no option but -h: one typed before the
+    # subcommand is refused with its usage; one after, with the subcommand's
+    for argv, prog in ((("--foo", "validate"), "pwadvect"),
+                       (("--foo", "sweep", "--grid", "8x8x8", "--bar"), "pwadvect"),
+                       (("validate", "--foo"), "pwadvect validate"),
+                       (("model", "--grid", "8x8x8", "--foo"), "pwadvect sweep")):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} "), argv
+        assert err.endswith(f"\n{prog}: error: unrecognized arguments: --foo\n"), argv
 
 
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):

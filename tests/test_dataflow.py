@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,24 @@ from pwadvect.dataflow import (
     pipeline_latency,
 )
 from pwadvect.grid import GridDims
-from pwadvect.kernel import FlopProfile
 from pwadvect.params import ModelParams
-from pwadvect.refdata import GRID_LADDER, GRID_LARGEST, ladder_model_ms
+from pwadvect.refdata import GRID_LADDER, GRID_LARGEST, FlopProfile, ladder_model_ms
 from pwadvect.schedules import ScheduleSpec, partition_domain
 
 PARAMS = ModelParams()
+
+
+def test_model_half_imports_nothing_from_kernel():
+    # read from the source: pwadvect/__init__ imports kernel, so sys.modules cannot tell
+    src = Path(kernel_time.__code__.co_filename).parent
+    for module in ("dataflow", "transfer", "params", "refdata"):
+        names = set()
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+        assert not [name for name in names if "kernel" in name.split(".")], module
 
 
 def test_pipeline_cycles_column_regime():
@@ -99,29 +113,31 @@ def test_kernel_memory_bytes_and_proportionality():
 
 
 def test_kernel_time_anchor_ladder_row():
-    t = kernel_time(GRID_LADDER, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 1)
+    t = kernel_time(GRID_LADDER, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 1,
+                    PARAMS.controllers)
     assert t == pytest.approx(0.5149, rel=0.05)
 
 
 def test_kernel_time_anchor_gflops():
-    t = kernel_time(GRID_LARGEST, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 12)
+    t = kernel_time(GRID_LARGEST, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 12,
+                    PARAMS.controllers)
     assert gflops(GRID_LARGEST.cells, FlopProfile(), t) == pytest.approx(14.36, rel=0.05)
 
 
 def test_kernel_time_compute_bound_limit():
     # with SDRAM cost removed, only the pipeline remains: ~55 ms at 310 MHz
     fast = MemoryModel(eff_bandwidth_1=1e30)
-    t = kernel_time(GRID_LADDER, PipelineSpec(71, 1, 310e6), fast, 64, 1)
+    t = kernel_time(GRID_LADDER, PipelineSpec(71, 1, 310e6), fast, 64, 1, PARAMS.controllers)
     assert t == pytest.approx(17_068_032 / 310e6, rel=1e-9)
     assert t < 0.056  # the memory phase dominates the 514.9 ms anchor
 
 
 def test_kernel_time_monotone_in_engines_and_cells():
     times = [kernel_time(GridDims(1012, 1024, 64), PARAMS.pipeline, PARAMS.memory,
-                         PARAMS.y_batch, e) for e in range(1, 13)]
+                         PARAMS.y_batch, e, PARAMS.controllers) for e in range(1, 13)]
     assert all(a >= b for a, b in zip(times, times[1:]))
     grids = [GridDims(n, n, 64) for n in (64, 128, 256, 512, 1024)]
-    sizes = [kernel_time(g, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 4)
+    sizes = [kernel_time(g, PARAMS.pipeline, PARAMS.memory, PARAMS.y_batch, 4, PARAMS.controllers)
              for g in grids]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
@@ -153,7 +169,7 @@ def test_model_and_schedules_agree_on_legality():
         for engines in (-1, 0, 1, 2, nx, nx + 1, 13):
             for y_batch in (-1, 0, 1, 8, ny, ny + 1, 64):
                 model = _error(lambda: kernel_time(dims, PARAMS.pipeline, PARAMS.memory,
-                                                   y_batch, engines))
+                                                   y_batch, engines, PARAMS.controllers))
                 spec = _error(lambda: ScheduleSpec("y_batched", y_batch, engines).validate(dims))
                 assert model == spec, (dims, engines, y_batch)
                 verdicts.add(model is None)
@@ -165,7 +181,7 @@ def test_calibrate_reproduces_anchors():
         (GRID_LADDER, 1, 0.5149),
         (GRID_LARGEST, 12, GRID_LARGEST.cells * 53 / 14.36e9),
     ]
-    result = calibrate(obs, PARAMS.pipeline, PARAMS.y_batch)
+    result = calibrate(obs, PARAMS.pipeline, PARAMS.y_batch, PARAMS.controllers, PARAMS.memory)
     assert isinstance(result, CalibrationResult)
     assert all(abs(r) < 0.05 for r in result.relative_residuals)  # two-point fit: ~exact
     assert result.model.eff_bandwidth_1 == pytest.approx(PARAMS.memory.eff_bandwidth_1, rel=1e-9)
@@ -178,8 +194,8 @@ def test_calibrate_round_trip_recovers_parameters():
     obs = []
     for dims, engines in ((GridDims(256, 256, 64), 1), (GridDims(640, 512, 64), 6),
                           (GridDims(1024, 1024, 64), 12)):
-        obs.append((dims, engines, kernel_time(dims, pipe, truth, 64, engines)))
-    fitted = calibrate(obs, pipe, 64).model
+        obs.append((dims, engines, kernel_time(dims, pipe, truth, 64, engines, 2)))
+    fitted = calibrate(obs, pipe, 64, 2, PARAMS.memory).model
     assert fitted.eff_bandwidth_1 == pytest.approx(truth.eff_bandwidth_1, rel=1e-6)
     assert fitted.contention == pytest.approx(truth.contention, rel=1e-6)
 
@@ -187,11 +203,11 @@ def test_calibrate_round_trip_recovers_parameters():
 def test_calibrate_degenerate_sets_rejected():
     pipe = PipelineSpec(72, 1, 310e6)
     with pytest.raises(ValueError):
-        calibrate([(GridDims(64, 64, 64), 1, 1.0)], pipe, 64)
+        calibrate([(GridDims(64, 64, 64), 1, 1.0)], pipe, 64, 2, PARAMS.memory)
     # engines 1 and 2 fall in the same controller group: singular
     with pytest.raises(ValueError):
         calibrate([(GridDims(64, 64, 64), 1, 1.0), (GridDims(64, 64, 64), 2, 0.6)],
-                  pipe, 64)
+                  pipe, 64, 2, PARAMS.memory)
 
 
 def test_calibrate_rejects_observation_faster_than_compute():
@@ -199,7 +215,7 @@ def test_calibrate_rejects_observation_faster_than_compute():
     compute = kernel_compute_cycles(dims, pipe, 64) / pipe.clock_hz
     for seconds in (compute, compute / 2):
         with pytest.raises(ValueError, match="faster than modeled compute alone"):
-            calibrate([(dims, 1, seconds), (dims, 4, 1.0)], pipe, 64)
+            calibrate([(dims, 1, seconds), (dims, 4, 1.0)], pipe, 64, 2, PARAMS.memory)
 
 
 @pytest.mark.parametrize("engines, seconds, message", [
@@ -213,7 +229,7 @@ def test_calibrate_rejects_observations_no_run_can_have(engines, seconds, messag
     with pytest.raises(ValueError, match=message):
         check_observation(*obs[0])
     with pytest.raises(ValueError, match=message):
-        calibrate(obs, PARAMS.pipeline, 64)
+        calibrate(obs, PARAMS.pipeline, 64, PARAMS.controllers, PARAMS.memory)
 
 
 def test_kernel_time_rejects_no_controllers():
@@ -226,13 +242,15 @@ def test_kernel_time_rejects_no_controllers():
     # calibrate places its observations by the same rule
     obs = [(GRID_LADDER, 1, 0.5149), (GRID_LARGEST, 12, 0.99)]
     with pytest.raises(ValueError, match="controllers = 0 must be >= 1"):
-        calibrate(obs, PARAMS.pipeline, 64, controllers=0)
+        calibrate(obs, PARAMS.pipeline, 64, 0, PARAMS.memory)
 
 
 def test_gflops_examples():
     assert gflops(268.3e6, FlopProfile(), 0.990) == pytest.approx(14.36, abs=0.1)
     assert gflops(268.3e6, FlopProfile(), 3.386) == pytest.approx(4.2, abs=0.1)
-    assert gflops(1, FlopProfile(0, 1), 1.0) == 1e-9
+    assert gflops(1, FlopProfile(), 1.0) == 53e-9  # the one credit: nothing to set
+    with pytest.raises(TypeError):
+        FlopProfile(0, 1)
     for seconds, rule in ((0.0, "must be > 0"), (math.nan, "must be finite"),
                           (math.inf, "must be finite")):
         with pytest.raises(ValueError, match=f"^seconds = {seconds} {rule}$"):

@@ -11,20 +11,33 @@ from pwadvect import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "docs/model-notes.md")
+PARAMS_FILE = "src/pwadvect/model-defaults.params"  # its `#` comments cite code too
 MODULES = ("grid", "kernel", "schedules", "dataflow", "transfer", "refdata", "params", "cli")
-# a backticked span that starts with `module.name`; `grid.py` names a file
-REFERENCE = re.compile(rf"`({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
+# `module.name` at the start of a backticked span, or pwadvect.module.name
+# anywhere; `grid.py` names a file
+REFERENCE = re.compile(rf"(?:`|\bpwadvect\.)({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
 FILE_SUFFIXES = {"py", "md", "c", "json", "params"}
 
 
+def _text(doc: str) -> str:
+    text = (ROOT / doc).read_text()
+    if doc != PARAMS_FILE:
+        return text
+    return "\n".join(line.partition("#")[2] for line in text.splitlines())
+
+
 def _references():
-    return sorted({(doc, module, name) for doc in DOCS
-                   for module, name in REFERENCE.findall((ROOT / doc).read_text())
+    return sorted({(doc, module, name) for doc in (*DOCS, PARAMS_FILE)
+                   for module, name in REFERENCE.findall(_text(doc))
                    if name not in FILE_SUFFIXES})
 
 
 def test_docs_cite_code():
-    assert {module for _, module, _ in _references()} >= {"grid", "kernel", "schedules"}
+    refs = _references()
+    assert {module for _, module, _ in refs} >= {"grid", "kernel", "schedules"}
+    # the fully qualified form is found, in the docs and in the parameter file's comments
+    assert {("README.md", "refdata", "FlopProfile"),
+            (PARAMS_FILE, "refdata", "CALIBRATION_OBSERVATIONS")} <= set(refs)
 
 
 @pytest.mark.parametrize("doc,module,name", _references())

@@ -433,7 +433,8 @@ def test_check_config_accepts_exactly_the_configurations_that_fit(nx, ny, nz, en
     if batched:  # the model batches Y and takes exactly the same configurations
         params = ModelParams()
         assert accepts(lambda: kernel_time(GridDims(nx, ny, nz), params.pipeline,
-                                           params.memory, y_batch, engines)) == accepted
+                                           params.memory, y_batch, engines,
+                                           params.controllers)) == accepted
 
 
 @pytest.mark.usefixtures("numpy_replay")

@@ -88,5 +88,6 @@ def test_model_call_tree_that_perfbench_walks(monkeypatch):
                  "kernel_memory_bytes"):
         monkeypatch.setattr(dataflow, name, recording(name, getattr(dataflow, name)))
     p = ModelParams()
-    transfer.end_to_end(GridDims(64, 64, 64), 2, p.pipeline, p.memory, p.dma, p.y_batch)
+    transfer.end_to_end(GridDims(64, 64, 64), 2, p.pipeline, p.memory, p.dma, p.y_batch,
+                        p.flops, p.controllers)
     assert MODEL_CALL_TREE <= edges

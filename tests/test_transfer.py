@@ -42,7 +42,7 @@ def test_dma_table_reproduced_exactly():
         dma_time(1.0, cfg, "imaginary_wiring")
     for nbytes in (-1.0, -math.inf, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^nbytes = {nbytes} must be finite and >= 0$"):
-            dma_time(nbytes, cfg)
+            dma_time(nbytes, cfg, "split_banks_4ch")
 
 
 def test_dma_time_additive():
@@ -87,7 +87,7 @@ def test_dma_fraction_monotone_in_engines():
 
 def test_scaling_table_engines():
     reports = scaling_table(GRID_STRATUS, range(1, 13), PARAMS.pipeline, PARAMS.memory,
-                            PARAMS.dma, PARAMS.y_batch, PARAMS.flops)
+                            PARAMS.dma, PARAMS.y_batch, PARAMS.flops, PARAMS.controllers)
     assert len(reports) == 12
     assert reports[0].kernel_seconds > reports[-1].kernel_seconds
     assert len({r.dma_seconds for r in reports}) == 1  # DMA constant across engines
@@ -97,10 +97,11 @@ def test_scaling_table_engines():
 
 def test_scaling_table_single_point_equals_end_to_end():
     only = scaling_table(GRID_STRATUS, [3], PARAMS.pipeline, PARAMS.memory, PARAMS.dma,
-                         PARAMS.y_batch, PARAMS.flops)
+                         PARAMS.y_batch, PARAMS.flops, PARAMS.controllers)
     assert only == [_report(GRID_STRATUS, 3)]
     with pytest.raises(ValueError):
-        scaling_table(GRID_STRATUS, [], PARAMS.pipeline, PARAMS.memory, PARAMS.dma)
+        scaling_table(GRID_STRATUS, [], PARAMS.pipeline, PARAMS.memory, PARAMS.dma,
+                      PARAMS.y_batch, PARAMS.flops, PARAMS.controllers)
 
 
 def test_grid_sweep_monotone_series():
