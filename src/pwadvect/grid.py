@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -134,7 +136,11 @@ class FieldSet:
 
 @dataclass
 class SourceSet:
-    """Advection source terms; level k=1 is identically zero after a run."""
+    """Advection source terms. After a run the halos and level k = 1 hold +0.0.
+
+    A run writes into fresh zeros or into the arrays of an earlier run's set
+    that nothing references any more (see _run_outputs); the bits are the same.
+    """
 
     su: Field3D
     sv: Field3D
@@ -151,6 +157,50 @@ class SourceSet:
 
 def zeros_sources(dims: GridDims) -> SourceSet:
     return SourceSet(zeros_field(dims), zeros_field(dims), zeros_field(dims))
+
+
+# A control array, then the three arrays of the last set _run_outputs handed
+# out, if any; the lock guards the tuple and every check against it.
+_outputs: tuple = (np.empty(0),)
+_outputs_lock = threading.Lock()
+
+
+def _released(dims: GridDims):
+    """The kept arrays if they are shaped for `dims`, writeable, and held by
+    nothing but the kept tuple: each counts as many references as the
+    control, which the tuple holds the same way. Else None."""
+    refs = {sys.getrefcount(a) for a in _outputs}
+    arrays = _outputs[1:]
+    if (len(refs) == 1 and arrays and arrays[0].shape == dims.padded_shape
+            and all(a.flags.writeable for a in arrays)):
+        return arrays
+    return None
+
+
+def _run_outputs(dims: GridDims) -> SourceSet:
+    """The SourceSet that one run writes: every interior cell, level k = 1
+    included (kernel.compute_block), so only its halos must be zero.
+
+    The process keeps the arrays of the last set this handed out, at most one
+    set of three padded fields. It hands the same arrays back, with their X
+    halo planes and Y halo rows zeroed, when `_released` finds them free for
+    `dims`; else it lets them go and hands out three fresh zeros fields. A
+    held SourceSet, Field3D, view or memoryview keeps them from reuse. The
+    check, the take and the set's construction run under one lock, so two
+    runs never get the same arrays.
+    """
+    global _outputs
+    with _outputs_lock:
+        arrays = _released(dims)
+        if arrays is None:
+            _outputs = _outputs[:1]  # frees a kept set that nothing else holds
+            arrays = tuple(np.zeros(dims.padded_shape) for _ in range(3))
+        else:
+            for a in arrays:
+                a[0] = a[-1] = 0.0
+                a[:, 0] = a[:, -1] = 0.0
+        _outputs = (_outputs[0], *arrays)
+        return SourceSet(*(Field3D(dims, a) for a in arrays))
 
 
 @dataclass(frozen=True)

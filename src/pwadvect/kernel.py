@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import _LCG_INC, _LCG_MULT, FieldSet, SourceSet, _lcg_jump_tables, zeros_sources
+from .grid import _LCG_INC, _LCG_MULT, FieldSet, SourceSet, _lcg_jump_tables, _run_outputs
 
 
 @dataclass
@@ -343,8 +343,10 @@ def kernel_source() -> str:
                 for q, name in enumerate(("su", "sv", "sw"))]
     slots = f"double {', '.join(f's{n}' for n in range(1, _NSLOTS + 1))};"
     mid = _c_level(_MID_TAPES, "k", {-1: "k - 1", 0: "k", 1: "k + 1"})
-    # the top tapes never read the k+1 operands; level t stands in for them
+    # the top tapes never read the k+1 operands; level t stands in for them;
+    # level k = 1 has no formula and is written 0
     top = _c_level(_TOP_TAPES, "t", {-1: "t - 1", 0: "t", 1: "t"})
+    top += [f"o{q}[0] = 0.0;" for q in range(3)]
 
     def indent(lines, depth):
         return [" " * 4 * depth + line for line in lines]
@@ -570,8 +572,9 @@ def compute_block(coeffs: AdvectionCoefficients, phases, out, copies=(), lag: in
     every key in COMPUTE_ROLES to a float64 array shaped (n0, n1 >= 1, nz)
     with unit stride along k; any leading stride, 0 included, is allowed.
     `out` is (su, sv, sw), writeable arrays shaped (n0, R, nz); levels
-    k >= 2 are written and level k = 1 is left as it is. `copies` is empty
-    or holds one list of (dest, source, dx) per phase, all of one length:
+    k >= 2 are written from the tapes and level k = 1 is written 0, so
+    every cell of the output rows is written. `copies` is empty or holds
+    one list of (dest, source, dx) per phase, all of one length:
     dest a writeable C-contiguous float64 array of n1 or more rows, source
     a float64 array of C-contiguous planes of len(dest) + R - n1 or more
     such rows. The call runs ceil(R / n1) Y batches, the last w = R -
@@ -653,6 +656,8 @@ def _replay_block(coeffs: AdvectionCoefficients, roles: dict, out, scratch: dict
     top = {-1: t - 1, 0: t, 1: t}
     _replay(_TOP_TAPES, (tcx, tcy, float(coeffs.tzc1[t]), float(coeffs.tzc2[t])),
             roles, top, out, t, slots[1])
+    for dest in out:  # level k = 1 has no formula
+        dest[..., 0] = 0.0
 
 
 def _replay(tapes, coefs, roles, ks, out, k, slots) -> None:
@@ -677,7 +682,7 @@ def grid_roles(fields: FieldSet, x0: int, x1: int) -> dict:
 def run_reference(fields: FieldSet, coeffs: AdvectionCoefficients) -> SourceSet:
     """Reference execution over the whole grid, in one compute_block call;
     pure function of its inputs."""
-    out = zeros_sources(fields.dims)
+    out = _run_outputs(fields.dims)
     compute_block(coeffs, [grid_roles(fields, 1, fields.dims.nx + 1)],
                   tuple(f.data[1:-1, 1:-1] for f in (out.su, out.sv, out.sw)))
     return out

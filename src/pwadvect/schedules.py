@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (FieldSet, GridDims, SourceSet, _on_threads, _pieces, check_config, cut,
-                   zeros_sources)
+from .grid import (FieldSet, GridDims, SourceSet, _on_threads, _pieces, _run_outputs,
+                   check_config, cut)
 from .kernel import (
     COMPUTE_ROLES,
     AdvectionCoefficients,
@@ -119,7 +119,8 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
     The reference cuts each of its `engines` slabs further into the X
     pieces of grid._pieces(slab, cells, engines), each run as its own slab,
     so a 1-engine run uses every core for the kernel and for the first
-    touch of the fresh outputs. Engines are logical: the jobs run on
+    touch of fresh outputs. The outputs come from grid._run_outputs, which
+    hands back a released earlier set. Engines are logical: the jobs run on
     grid._on_threads. A job returns only what its kernel call staged; the
     traffic is derived once, over the whole grid, so no cut can change it.
     """
@@ -129,12 +130,13 @@ def run_schedule(fields: FieldSet, coeffs: AdvectionCoefficients,
     if spec.variant == "reference":
         jobs = [piece for slab in jobs
                 for piece in _pieces(slab, len(slab) * dims.ny * dims.nz, spec.engines)]
-    out = zeros_sources(dims)
+    out = _run_outputs(dims)
     t0 = time.perf_counter()
     measured = _on_threads(lambda slab: _run_slab(fields, coeffs, out, slab, spec), jobs)
     wall = time.perf_counter() - t0
     # every schedule computes each column once: 54 operand touches per mid
-    # level and 45 at the top, and 3 outputs stored at levels k >= 2 only
+    # level and 45 at the top, and 3 outputs stored at levels k >= 2 (the
+    # zero that restores level k = 1 of a reused output is not counted)
     columns = dims.nx * dims.ny
     touches = columns * (reads_per_point(False) * (dims.nz - 2) + reads_per_point(True))
     # compute reads the grid in the reference, else the staging buffers;

@@ -214,6 +214,20 @@ def test_bench_fails_when_a_repetition_changes_the_traffic(monkeypatch, capsys):
         "FAIL reference: traffic counters changed between repetitions\n")
 
 
+def test_bench_reps_write_into_the_outputs_the_rep_before_let_go(monkeypatch, capsys):
+    run, where = cli.run_schedule, []
+
+    def recording(fields, coeffs, spec):
+        out, tc, wall = run(fields, coeffs, spec)
+        where.append(tuple(f.data.ctypes.data for f in (out.su, out.sv, out.sw)))
+        return out, tc, wall
+
+    monkeypatch.setattr(cli, "run_schedule", recording)
+    assert run_cli("bench", "--grid", "8x6x4", "--reps", "3",
+                   "--schedule", "reference", "--schedule", "x_reordered") == 0
+    assert len(where) == 6 and len(set(where)) == 1
+
+
 def test_bench_fails_when_schedules_disagree(monkeypatch, capsys):
     run = cli.run_schedule
 
